@@ -162,6 +162,42 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=None, help="Monte-Carlo trial count")
 
 
+_COMMAND_HELP = {
+    "point": "Evaluate one parameter point through both pipelines.",
+    "sweep": "Scan one or two parameters onto a table.",
+    "extremum": "Locate a minimum or maximum of one coherence order.",
+    "figure": "Write the dataset files of a named preset.",
+    "mc": "Run the stochastic validator against the deterministic chain.",
+}
+
+
+def _add_command_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """Flags of one run command.  ``dump-config <command>`` declares the
+    same flags, so a dumped config resolves exactly as the run would."""
+    _add_common_flags(p)
+    if command == "sweep":
+        p.add_argument("--axis", action="append", default=None,
+                       metavar="NAME:MIN:MAX:POINTS[:SCALE]",
+                       help="scanned axis; repeat for a 2-d grid")
+    elif command == "extremum":
+        p.add_argument("--order", type=int, default=None, choices=(2, 3, 4))
+        p.add_argument("--param", default=None, help="scanned parameter name")
+        p.add_argument("--bounds", default=None, metavar="LO:HI")
+        p.add_argument("--mode", choices=("min", "max"), default=None)
+    elif command == "figure":
+        p.add_argument("--preset", default=None, choices=sorted(PRESETS))
+        p.add_argument("--set", action="append", default=None, dest="set_items",
+                       metavar="KEY=VALUE",
+                       help="override a preset parameter (value parsed as JSON when possible)")
+        p.add_argument("--outdir", default=None,
+                       help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
+    elif command == "mc":
+        p.add_argument("--condition-min", type=int, default=None, dest="condition_min_photons",
+                       help="stratify on total photon number >= this value")
+        p.add_argument("--fock", type=int, default=None,
+                       help="replace the source state by a deterministic n-photon source")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hbt4",
@@ -169,67 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
         "through a four-detector splitter tree.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_point = sub.add_parser("point", help="Evaluate one parameter point through both pipelines.")
-    _add_common_flags(p_point)
-
-    p_sweep = sub.add_parser("sweep", help="Scan one or two parameters onto a table.")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument(
-        "--axis",
-        action="append",
-        default=None,
-        metavar="NAME:MIN:MAX:POINTS[:SCALE]",
-        help="scanned axis; repeat for a 2-d grid",
-    )
-
-    p_ext = sub.add_parser("extremum", help="Locate a minimum or maximum of one coherence order.")
-    _add_common_flags(p_ext)
-    p_ext.add_argument("--order", type=int, default=None, choices=(2, 3, 4))
-    p_ext.add_argument("--param", default=None, help="scanned parameter name")
-    p_ext.add_argument("--bounds", default=None, metavar="LO:HI")
-    p_ext.add_argument("--mode", choices=("min", "max"), default=None)
-
-    p_fig = sub.add_parser("figure", help="Write the dataset files of a named preset.")
-    _add_common_flags(p_fig)
-    p_fig.add_argument("--preset", default=None, choices=sorted(PRESETS))
-    p_fig.add_argument(
-        "--set",
-        action="append",
-        default=None,
-        dest="set_items",
-        metavar="KEY=VALUE",
-        help="override a preset parameter (value parsed as JSON when possible)",
-    )
-    p_fig.add_argument("--outdir", default=None, help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-
-    p_mc = sub.add_parser("mc", help="Run the stochastic validator against the deterministic chain.")
-    _add_common_flags(p_mc)
-    p_mc.add_argument("--condition-min", type=int, default=None, dest="condition_min_photons",
-                      help="stratify on total photon number >= this value")
-    p_mc.add_argument("--fock", type=int, default=None,
-                      help="replace the source state by a deterministic n-photon source")
+    for name, help_text in _COMMAND_HELP.items():
+        _add_command_flags(sub.add_parser(name, help=help_text), name)
 
     p_dump = sub.add_parser("dump-config", help="Print the resolved configuration of a run.")
     dump_sub = p_dump.add_subparsers(dest="dump_command", required=True)
-    for name in ("point", "sweep", "extremum", "figure", "mc"):
-        clone = dump_sub.add_parser(name)
-        _add_common_flags(clone)
-        if name == "sweep":
-            clone.add_argument("--axis", action="append", default=None)
-        if name == "extremum":
-            clone.add_argument("--order", type=int, default=None, choices=(2, 3, 4))
-            clone.add_argument("--param", default=None)
-            clone.add_argument("--bounds", default=None)
-            clone.add_argument("--mode", choices=("min", "max"), default=None)
-        if name == "figure":
-            clone.add_argument("--preset", default=None, choices=sorted(PRESETS))
-            clone.add_argument("--set", action="append", default=None, dest="set_items")
-            clone.add_argument("--outdir", default=None)
-        if name == "mc":
-            clone.add_argument("--condition-min", type=int, default=None,
-                               dest="condition_min_photons")
-            clone.add_argument("--fock", type=int, default=None)
+    for name in _COMMAND_HELP:
+        _add_command_flags(dump_sub.add_parser(name), name)
     return parser
 
 

@@ -158,8 +158,9 @@ def factorial_moments(dist: PhotonDistribution, order_max: int = 4) -> Coherence
     ``mean_clicks`` carries the distribution mean.
 
     Accuracy at fourth order is limited by the input truncation: the
-    n(n-1)(n-2)(n-3) weight amplifies tail terms, which is why the state
-    builders keep a support margin past their mass tolerance.
+    n(n-1)(n-2)(n-3) weight amplifies tail terms, which is why
+    ``squeezed_distribution`` keeps max(2 (n_mass + 1), n_mass + 17)
+    entries past the first n_mass that meets its mass tolerance.
     """
     if order_max not in (2, 3, 4):
         raise InvalidParameterError("order_max", f"must be 2, 3 or 4, got {order_max}")

@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes (see cli.EXIT_CODES).
+The CLI maps these onto process exit codes (see the EXIT_* constants in cli).
 """
 
 

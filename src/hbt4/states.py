@@ -2,25 +2,20 @@
 
 The squeezed-state distribution oscillates with photon number and involves
 Hermite polynomials of a complex argument.  Evaluating it naively overflows
-for moderate photon numbers, so everything here runs through a scaled
-three-term recurrence whose iterates stay O(1) wherever the probabilities
-themselves are O(1).
+for moderate photon numbers, so it is built by one scaled three-term
+recurrence with a running log-scale.  The coherent state is its r = 0 case.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InternalInvariantError, InvalidParameterError, TruncationError
-
-# Below this squeezing the Hermite argument becomes numerically degenerate
-# (it grows like 1/sqrt(r)) and the state is a coherent state to double
-# precision, so we dispatch to the Poisson branch.
-R_MIN_SQUEEZED = 1e-8
 
 # Hard cap on the truncated photon-number support.
 N_HARD_MAX = 4096
@@ -32,6 +27,12 @@ N_HARD_MAX = 4096
 _SUPPORT_MARGIN = 16
 
 _DEFAULT_TOL = 1e-12
+
+# Recurrence iterates are divided by this power of two (exactly) when they
+# exceed it.  An iterate times an underflowed running scale is below
+# 2^128 * 1e-308, so any p_n lost that way is below 1e-538.
+_RESCALE_AT = 2.0**128
+_LOG_RESCALE_AT = 128.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,32 @@ def fock_distribution(n: int) -> PhotonDistribution:
     return PhotonDistribution(probs=probs, tail_mass=0.0)
 
 
+def _scaled_hermite(y: complex, t: float, log_scale: float = 0.0):
+    """Yield u_n * exp(log_scale) for n = 0, 1, 2, ..., where
+    u_n = H_n(x) t^(n/2) / sqrt(n!) and y = sqrt(t) x, from
+
+        u_{n+1} = (2y u_n - 2t sqrt(n) u_{n-1}) / sqrt(n+1),
+
+    which stays regular as t -> 0.  The iterates carry a running log-scale:
+    when one passes _RESCALE_AT, both are divided by it, so none overflows.
+    """
+    y2, t2 = 2.0 * y, 2.0 * t
+    scale = math.exp(log_scale)
+    w_prev, w = 0j, 1.0 + 0j
+    sqrt_n, n = 0.0, 0
+    while True:
+        yield w * scale
+        n += 1
+        sqrt_next = math.sqrt(n)
+        w_prev, w = w, (y2 * w - t2 * sqrt_n * w_prev) / sqrt_next
+        sqrt_n = sqrt_next
+        if abs(w) > _RESCALE_AT:
+            w_prev /= _RESCALE_AT
+            w /= _RESCALE_AT
+            log_scale += _LOG_RESCALE_AT
+            scale = math.exp(log_scale)
+
+
 def hermite_scaled(n_max: int, x: complex, t: float) -> np.ndarray:
     """Scaled Hermite values u_n = H_n(x) * t^(n/2) / sqrt(n!) for n = 0..n_max.
 
@@ -102,7 +129,8 @@ def hermite_scaled(n_max: int, x: complex, t: float) -> np.ndarray:
         u_{n+1} = sqrt(4t/(n+1)) * x * u_n - 2t * sqrt(n/(n+1)) * u_{n-1}
 
     folds the t^(n/2)/sqrt(n!) scaling into every step, so no factorial or
-    bare polynomial value is ever formed.
+    bare polynomial value is ever formed.  It is the recurrence that builds
+    ``squeezed_distribution``.
     """
     if n_max < 0:
         raise InvalidParameterError("n_max", "must be >= 0")
@@ -111,94 +139,53 @@ def hermite_scaled(n_max: int, x: complex, t: float) -> np.ndarray:
         raise InvalidParameterError("x", "must be finite")
     if not (0.0 <= t <= 0.5):
         raise InvalidParameterError("t", f"must lie in [0, 0.5], got {t}")
-    u = np.zeros(n_max + 1, dtype=complex)
-    u[0] = 1.0
-    if n_max >= 1:
-        u[1] = 2.0 * math.sqrt(t) * x
-    for n in range(1, n_max):
-        u[n + 1] = (
-            math.sqrt(4.0 * t / (n + 1)) * x * u[n]
-            - 2.0 * t * math.sqrt(n / (n + 1)) * u[n - 1]
-        )
-    return u
-
-
-def _truncate(probs: np.ndarray, tol: float, at_hard_max: bool) -> np.ndarray | None:
-    """Shortest prefix whose complementary mass is below tol, extended by a
-    safety margin.  None when the criterion is not met within the array, or
-    when the margin does not fit yet (so the caller grows the support);
-    at the hard size cap a clipped margin is accepted."""
-    cum = np.cumsum(probs)
-    below = np.nonzero(1.0 - cum < tol)[0]
-    if below.size == 0:
-        return None
-    n_mass = int(below[0])
-    n_keep = max(2 * (n_mass + 1), n_mass + 1 + _SUPPORT_MARGIN)
-    if n_keep > probs.size:
-        if not at_hard_max:
-            return None
-        n_keep = probs.size
-    return probs[:n_keep]
-
-
-def _validate_tol(tol: float) -> None:
-    if not (0.0 < tol <= 1e-6):
-        raise InvalidParameterError("tol", f"must lie in (0, 1e-6], got {tol}")
+    terms = itertools.islice(_scaled_hermite(math.sqrt(t) * x, t), n_max + 1)
+    return np.fromiter(terms, dtype=complex, count=n_max + 1)
 
 
 def coherent_distribution(alpha: float, tol: float = _DEFAULT_TOL) -> PhotonDistribution:
     """Poisson photon-number distribution of a coherent state of amplitude
-    ``alpha`` (mean alpha**2), truncated so the tail is below ``tol``."""
-    _validate_tol(tol)
-    if not math.isfinite(alpha):
-        raise InvalidParameterError("alpha", "must be finite")
-    mu = alpha * alpha
-    if mu == 0.0:
-        return PhotonDistribution(probs=np.array([1.0]), tail_mass=0.0)
-    n_max = 64
-    while True:
-        n = np.arange(n_max + 1)
-        probs = np.exp(n * math.log(mu) - mu - gammaln(n + 1))
-        kept = _truncate(probs, tol, at_hard_max=n_max >= N_HARD_MAX)
-        if kept is not None:
-            tail = max(0.0, 1.0 - float(kept.sum()))
-            return PhotonDistribution(probs=kept, tail_mass=tail)
-        if n_max >= N_HARD_MAX:
-            raise TruncationError(
-                f"coherent state with mean {mu:g} does not reach tail < {tol:g} "
-                f"within {N_HARD_MAX} photon numbers"
-            )
-        n_max = min(2 * n_max, N_HARD_MAX)
+    ``alpha`` (mean alpha**2), truncated so the tail is below ``tol``: the
+    r = 0 case of ``squeezed_distribution``."""
+    return squeezed_distribution(StateParams(r=0.0, theta=0.0, alpha=alpha), tol)
 
 
 def squeezed_distribution(params: StateParams, tol: float = _DEFAULT_TOL) -> PhotonDistribution:
-    """Photon-number distribution of the displaced squeezed state.
+    """Photon-number distribution of the displaced squeezed state (Yuen,
+    PRA 13, 2226 (1976)).
 
-    p_n is proportional to tanh^n(r) / (2^n n!) |H_n(x)|^2 with the complex
-    Hermite argument x = alpha e^{-i theta/2} / sqrt(2 cosh r sinh r).  The
-    prefactor exp(-alpha^2 + alpha^2 cos(theta) tanh r)/cosh r uses the real
-    form of the exponent, valid because alpha is real.  Truncation grows
-    adaptively until the tail mass drops below ``tol``.
+    p_n = |u_n|^2 exp(-alpha^2 + alpha^2 cos(theta) tanh r) / cosh r, with
+    u_n the scaled Hermite values of x = alpha e^{-i theta/2} /
+    sqrt(2 cosh r sinh r) at t = tanh(r)/2; the real form of the exponent
+    holds because alpha is real.  The recurrence runs in y = sqrt(t) x =
+    alpha e^{-i theta/2} / (2 cosh r), so r = 0 is the coherent state, and
+    the prefactor seeds its log-scale, so neither exp(-alpha^2) nor a huge
+    |u_n|^2 is ever formed.  One pass stops at the first n_mass whose tail
+    is below ``tol`` and keeps max(2 (n_mass + 1), n_mass + 1 + margin)
+    entries, at most N_HARD_MAX + 1.  TruncationError when the tail is
+    still above ``tol`` at N_HARD_MAX.
     """
-    _validate_tol(tol)
-    if params.r < R_MIN_SQUEEZED:
-        return coherent_distribution(params.alpha, tol)
+    if not (0.0 < tol <= 1e-6):
+        raise InvalidParameterError("tol", f"must lie in (0, 1e-6], got {tol}")
     r, theta, alpha = params.r, params.theta, params.alpha
-    x = alpha * np.exp(-0.5j * theta) / math.sqrt(2.0 * math.cosh(r) * math.sinh(r))
+    y = alpha * cmath.exp(-0.5j * theta) / (2.0 * math.cosh(r))
     t = math.tanh(r) / 2.0
     log_pref = -alpha * alpha + alpha * alpha * math.cos(theta) * math.tanh(r) - math.log(math.cosh(r))
-    pref = math.exp(log_pref)
-    n_max = 64
-    while True:
-        u = hermite_scaled(n_max, x, t)
-        probs = pref * np.abs(u) ** 2
-        kept = _truncate(probs, tol, at_hard_max=n_max >= N_HARD_MAX)
-        if kept is not None:
-            tail = max(0.0, 1.0 - float(kept.sum()))
-            return PhotonDistribution(probs=kept, tail_mass=tail)
-        if n_max >= N_HARD_MAX:
-            raise TruncationError(
-                f"squeezed state (r={r:g}, theta={theta:g}, alpha={alpha:g}) does not "
-                f"reach tail < {tol:g} within {N_HARD_MAX} photon numbers"
-            )
-        n_max = min(2 * n_max, N_HARD_MAX)
+    terms = _scaled_hermite(y, t, 0.5 * log_pref)
+    probs: list[float] = []
+    mass = 0.0
+    for u in itertools.islice(terms, N_HARD_MAX + 1):
+        p = abs(u) ** 2
+        probs.append(p)
+        mass += p
+        if 1.0 - mass < tol:
+            break
+    else:
+        raise TruncationError(
+            f"squeezed state (r={r:g}, theta={theta:g}, alpha={alpha:g}) does not "
+            f"reach tail < {tol:g} within {N_HARD_MAX} photon numbers"
+        )
+    n_keep = min(max(2 * len(probs), len(probs) + _SUPPORT_MARGIN), N_HARD_MAX + 1)
+    probs += [abs(u) ** 2 for u in itertools.islice(terms, n_keep - len(probs))]
+    kept = np.array(probs)
+    return PhotonDistribution(probs=kept, tail_mass=max(0.0, 1.0 - float(kept.sum())))

@@ -327,7 +327,7 @@ def minimized_map(
                     g4=g[2],
                     mean=mean,
                     pipeline=pipeline,
-                    diagnostics=f"alpha_min={result.location:.6g}",
+                    diagnostics=f"alpha_min={result.location:.12g}",
                 )
             )
     return SweepTable(axis_names=("gamma", "eta"), rows=tuple(rows))

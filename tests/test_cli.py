@@ -270,33 +270,43 @@ class TestMc:
 
 
 class TestConfigRoundTrip:
-    def test_dump_and_rerun_byte_identical(self, capsys, tmp_path):
-        code, dumped, _ = run_cli(
-            capsys,
-            "dump-config", "sweep",
-            "--axis", "alpha:0.01:0.3:6:log",
-            "--r", "0.05", "--pipeline", "click", "--eta", "0.8", "--gamma", "1e-4",
-        )
+    # Flags per command; each run writes to a location given at run time,
+    # so the direct run and the run from the dumped config differ only there.
+    ROUND_TRIPS = {
+        "point": ("--r", "0.3", "--theta", "1.1", "--alpha", "0.4",
+                  "--eta", "0.7", "--gamma", "1e-3", "--format", "json"),
+        "sweep": ("--axis", "alpha:0.01:0.3:6:log",
+                  "--r", "0.05", "--pipeline", "click", "--eta", "0.8", "--gamma", "1e-4"),
+        "extremum": ("--order", "3", "--param", "alpha", "--bounds", "0.01:0.5",
+                     "--mode", "min", "--r", "0.1", "--pipeline", "click", "--eta", "0.6"),
+        "figure": ("--preset", "fig2map", "--set", "r_points=2", "--set", "alpha_points=3",
+                   "--set", "theta=0.5"),
+        "mc": ("--r", "0.2", "--alpha", "0.5", "--eta", "0.9", "--gamma", "1e-3",
+               "--trials", "20000", "--seed", "3", "--condition-min", "1"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(ROUND_TRIPS))
+    def test_dump_and_rerun_byte_identical(self, capsys, tmp_path, command):
+        flags = self.ROUND_TRIPS[command]
+        code, dumped, _ = run_cli(capsys, "dump-config", command, *flags)
         assert code == 0
         config_path = tmp_path / "run.json"
         config_path.write_text(dumped)
 
-        out_direct = tmp_path / "direct.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "sweep",
-            "--axis", "alpha:0.01:0.3:6:log",
-            "--r", "0.05", "--pipeline", "click", "--eta", "0.8", "--gamma", "1e-4",
-            "--out", str(out_direct),
-        )
-        assert code == 0
+        def outputs(name, *argv):
+            target = tmp_path / name
+            if command == "figure":
+                code, _, _ = run_cli(capsys, command, *argv, "--outdir", str(target))
+                result = {p.name: p.read_bytes() for p in target.iterdir()}
+            else:
+                code, _, _ = run_cli(capsys, command, *argv, "--out", str(target))
+                result = target.read_bytes()
+            assert code == 0
+            return result
 
-        out_config = tmp_path / "from_config.csv"
-        code, _, _ = run_cli(
-            capsys, "sweep", "--config", str(config_path), "--out", str(out_config)
-        )
-        assert code == 0
-        assert out_direct.read_bytes() == out_config.read_bytes()
+        direct = outputs("direct", *flags)
+        assert direct
+        assert outputs("from_config", "--config", str(config_path)) == direct
 
     def test_unknown_config_keys_rejected(self, capsys, tmp_path):
         config_path = tmp_path / "bad.json"

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from hbt4 import (
+    DetectionParams,
     InvalidParameterError,
     PhotonDistribution,
     StateParams,
     TruncationError,
+    apply_detection,
+    click_coherence,
     coherent_distribution,
+    factorial_moments,
     fock_distribution,
     hermite_scaled,
+    ideal_coherence,
     squeezed_distribution,
 )
-from hbt4.states import R_MIN_SQUEEZED
 
 
 def hermite_direct(n: int, x: complex) -> complex:
@@ -122,18 +126,31 @@ class TestSqueezedDistribution:
         n = min(len(a), len(b))
         np.testing.assert_allclose(a.probs[:n], b.probs[:n], atol=1e-12)
 
-    @pytest.mark.parametrize("factor", [0.5, 1.5])
-    def test_branch_continuity(self, factor):
-        # Total-variation distance between the two branches near the cutover
-        r = R_MIN_SQUEEZED * factor
-        squeezed = squeezed_distribution(StateParams(r=r, theta=0.7, alpha=0.8))
-        coherent = coherent_distribution(0.8)
-        n = max(len(squeezed), len(coherent))
-        a = np.zeros(n)
-        b = np.zeros(n)
-        a[: len(squeezed)] = squeezed.probs
-        b[: len(coherent)] = coherent.probs
-        assert 0.5 * np.abs(a - b).sum() < 1e-6
+    @pytest.mark.parametrize("r", [0.99e-8, 1.01e-8, 0.0])
+    def test_weak_field_continuity(self, r):
+        # At weak displacement the squeezing term dominates g2 even at
+        # r ~ 1e-8, so the click chain must follow the closed form
+        # continuously down to r = 0, where the state is coherent.
+        state = StateParams(r=r, theta=0.7, alpha=1e-5)
+        dist = apply_detection(squeezed_distribution(state), DetectionParams(eta=1.0, gamma=0.0))
+        g2 = click_coherence(dist).g2
+        if r == 0.0:
+            assert g2 == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert g2 == pytest.approx(ideal_coherence(state).g2, rel=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha, r", [(40.0, 0.0), (40.0, 0.1), (30.0, 0.3)])
+    def test_strong_field_moments(self, alpha, r):
+        # Mean photon numbers near 1000: the recurrence must neither
+        # overflow nor report a false TruncationError.
+        state = StateParams(r=r, theta=0.0, alpha=alpha)
+        dist = squeezed_distribution(state)
+        ideal = ideal_coherence(state)
+        moments = factorial_moments(dist)
+        assert dist.mean == pytest.approx(ideal.mean_clicks, rel=1e-9)
+        assert moments.g2 == pytest.approx(ideal.g2, rel=1e-9)
+        assert moments.g4 == pytest.approx(ideal.g4, rel=1e-9)
 
     def test_truncation_failure_is_distinct(self):
         with pytest.raises(TruncationError):
@@ -147,8 +164,7 @@ class TestSqueezedDistribution:
 
     @pytest.mark.parametrize("mu", [0.5, 4.0, 18.0, 60.0])
     def test_margin_survives_block_boundaries(self, mu):
-        # The safety margin must not be clipped when the mass criterion is
-        # met near the end of an internal growth block.
+        # The safety margin must not be clipped below the hard size cap.
         d = coherent_distribution(math.sqrt(mu))
         cum = np.cumsum(d.probs)
         n_mass = int(np.nonzero(1.0 - cum < 1e-12)[0][0])

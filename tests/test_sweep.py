@@ -9,6 +9,7 @@ from hbt4 import (
     StateParams,
     SweepAxis,
     SweepSpec,
+    evaluate_point,
     find_extremum,
     ideal_coherence,
     minimized_map,
@@ -214,3 +215,12 @@ class TestMinimizedMap:
         )
         for row in table.rows:
             assert row.diagnostics.startswith("alpha_min=")
+            # The printed amplitude reproduces the row's minimum.
+            alpha = float(row.diagnostics.split("=", 1)[1])
+            gamma, eta = row.axis_values
+            again = evaluate_point(
+                StateParams(r=0.001, theta=0.0, alpha=alpha),
+                DetectionParams(eta=eta, gamma=gamma),
+                "click",
+            )
+            assert again.g2 == pytest.approx(row.g2, rel=1e-9)
