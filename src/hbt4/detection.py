@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidParameterError
 from .states import PhotonDistribution
@@ -72,13 +71,21 @@ def bernoulli_loss(dist: PhotonDistribution, eta: float) -> PhotonDistribution:
 
 def _poisson_pmf(gamma: float, k_max: int) -> np.ndarray:
     k = np.arange(k_max + 1)
-    return np.exp(k * math.log(gamma) - gamma - gammaln(k + 1))
+    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(k_max + 1)])
+    return np.exp(k * math.log(gamma) - gamma - log_factorial)
 
 
 def noise_kernel_length(gamma: float) -> int:
     """Support of the Poisson noise kernel; keeps the neglected kernel tail
     below 1e-12 for any gamma up to 1e4."""
     return int(math.ceil(gamma + 10.0 * math.sqrt(gamma) + 20.0))
+
+
+def _noise_kernel(gamma: float) -> tuple[np.ndarray, float]:
+    """Truncated Poisson noise kernel of mean ``gamma`` > 0 and the
+    probability mass it leaves out."""
+    kernel = _poisson_pmf(gamma, noise_kernel_length(gamma))
+    return kernel, max(0.0, 1.0 - float(kernel.sum()))
 
 
 def noise_convolve(dist: PhotonDistribution, gamma: float) -> PhotonDistribution:
@@ -93,9 +100,8 @@ def noise_convolve(dist: PhotonDistribution, gamma: float) -> PhotonDistribution
         raise InvalidParameterError("gamma", f"must be finite and >= 0, got {gamma}")
     if gamma == 0.0:
         return dist
-    kernel = _poisson_pmf(gamma, noise_kernel_length(gamma))
+    kernel, kernel_tail = _noise_kernel(gamma)
     out = np.convolve(dist.probs, kernel)
-    kernel_tail = max(0.0, 1.0 - float(kernel.sum()))
     tail = min(1.0, dist.tail_mass + kernel_tail)
     return PhotonDistribution(probs=out, tail_mass=tail)
 

@@ -5,6 +5,12 @@ detection-plus-click chain ("click") over 1- or 2-axis grids, emitting
 rows in row-major axis order.  Per-point failures (vacuum input, zero
 signal) are recorded in the row diagnostics and never abort a sweep.
 
+A click point is the photon-number distribution times the cached 5 x N
+click operator of its detector (``clicks.detected_clicks``), one
+matrix-vector product; sweeps, extremum searches and minimized maps at a
+fixed (eta, gamma) share one operator.  The per-distribution chain,
+``click_coherence(apply_detection(...))``, is its reference.
+
 Extremum searches run a coarse grid (log-spaced for amplitude-like
 parameters) followed by golden-section refinement inside the bracket
 around the best coarse sample.
@@ -17,9 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clicks import CoherenceTriple, click_coherence
+from .clicks import CoherenceTriple, coherence_from_clicks, detected_clicks
+# The per-distribution reference of the click branch stays importable here.
+from .clicks import click_coherence  # noqa: F401
 from .coherence import ideal_coherence
-from .detection import DetectionParams, apply_detection
+from .detection import DetectionParams
 from .errors import Hbt4Error, InvalidParameterError, NoSignalError, UndefinedCoherenceError
 from .states import StateParams, squeezed_distribution
 
@@ -133,11 +141,14 @@ def evaluate_point(
     pipeline: str,
     tol: float = 1e-12,
 ) -> CoherenceTriple:
-    """Coherence at one parameter point through the selected pipeline."""
+    """Coherence at one parameter point through the selected pipeline.
+
+    The click pipeline equals ``click_coherence(apply_detection(
+    squeezed_distribution(state, tol), detection))`` up to rounding.
+    """
     if pipeline == "ideal":
         return ideal_coherence(state)
-    dist = apply_detection(squeezed_distribution(state, tol), detection)
-    return click_coherence(dist)
+    return coherence_from_clicks(detected_clicks(squeezed_distribution(state, tol), detection))
 
 
 def sweep(spec: SweepSpec) -> SweepTable:
