@@ -14,18 +14,17 @@ after loss, is one linear map from photon numbers before detection to the
 five click probabilities.  ``_click_operator`` builds that 5 x n matrix
 from the same positive pieces (occupancy rows, a correlation with the
 Poisson noise kernel, a de Casteljau pass for the binomial loss) and
-caches it, so that a state costs one matrix-vector product.  Column n is
-the click distribution of exactly n photons, whatever the support it is
-used with.  The per-distribution chain, ``click_probabilities`` of
-``detection.apply_detection``, is its reference.
+keeps the operator of the last detector asked for, so that a state costs
+one matrix-vector product.  Column n is the click distribution of exactly
+n photons, whatever the support it is used with.  The per-distribution
+chain, ``click_probabilities`` of ``detection.apply_detection``, is its
+reference.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +73,11 @@ class CoherenceTriple:
     mean_clicks: float
 
 
-# Click operators kept per (eta, gamma), least recently used dropped first.
-_OPERATOR_CACHE_SIZE = 32
-_operators: OrderedDict[tuple[float, float], tuple[np.ndarray, float]] = OrderedDict()
-_operators_lock = threading.Lock()
+# The click operator of the last detector asked for, and its kernel tail,
+# under its (eta, gamma): at most one entry.  Sweeps, extremum searches and
+# minimized-map cells evaluate their states at one detector in a row, so
+# one entry serves them.
+_last_operator: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
 
 # Every _FLUSH_EVERY loss steps, operator entries below _NEGLIGIBLE are set
 # to 0.  That moves no click probability by more than about 1e-249, while
@@ -165,20 +165,18 @@ def _click_operator(eta: float, gamma: float, n: int) -> tuple[np.ndarray, float
     m photons before loss ``eta`` and noise ``gamma``, and the probability
     mass the truncated noise kernel leaves out.
 
-    The operator of each (eta, gamma) is cached and, when a larger ``n``
+    The operator of the last (eta, gamma) is kept and, when a larger ``n``
     is asked for, rebuilt at least twice as wide, up to N_HARD_MAX + 1.
     A column does not depend on the width it was built with, so results
-    never depend on what the cache holds.
+    never depend on what is kept.
     """
     key = (float(eta), float(gamma))
-    with _operators_lock:
-        entry = _operators.get(key)
-        if entry is None or len(entry[0]) < n:
-            width = n if entry is None else max(n, min(2 * len(entry[0]), N_HARD_MAX + 1))
-            entry = _operators[key] = _build_click_operator(*key, width)
-        _operators.move_to_end(key)
-        if len(_operators) > _OPERATOR_CACHE_SIZE:
-            _operators.popitem(last=False)
+    entry = _last_operator.get(key)
+    if entry is None or len(entry[0]) < n:
+        width = n if entry is None else max(n, min(2 * len(entry[0]), N_HARD_MAX + 1))
+        entry = _build_click_operator(*key, width)
+        _last_operator.clear()
+        _last_operator[key] = entry
     op, kernel_tail = entry
     return op[:n].T, kernel_tail
 

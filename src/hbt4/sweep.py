@@ -9,7 +9,7 @@ A click point is the photon-number distribution times the cached 5 x N
 click operator of its detector (``clicks.detected_clicks``), one
 matrix-vector product; sweeps, extremum searches and minimized maps at a
 fixed (eta, gamma) share one operator.  The per-distribution chain,
-``click_coherence(apply_detection(...))``, is its reference.
+``clicks.click_coherence(apply_detection(...))``, is its reference.
 
 Extremum searches run a coarse grid (log-spaced for amplitude-like
 parameters) followed by golden-section refinement inside the bracket
@@ -24,8 +24,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clicks import CoherenceTriple, coherence_from_clicks, detected_clicks
-# The per-distribution reference of the click branch stays importable here.
-from .clicks import click_coherence  # noqa: F401
 from .coherence import ideal_coherence
 from .detection import DetectionParams
 from .errors import Hbt4Error, InvalidParameterError, NoSignalError, UndefinedCoherenceError

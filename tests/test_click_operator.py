@@ -2,6 +2,7 @@
 (loss, noise, occupancy), and the package's import footprint."""
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -108,27 +109,30 @@ def test_defect_carries_the_noise_kernel_tail(gamma):
     )
 
 
-def test_results_do_not_depend_on_the_cache():
+def test_results_do_not_depend_on_the_kept_operator():
     det = DetectionParams(eta=0.5, gamma=1e-5)
     weak = StateParams(r=5e-4, theta=0.0, alpha=0.016)
     strong = StateParams(r=0.1, theta=1.0, alpha=30.0)
-    clicks._operators.clear()
+    clicks._last_operator.clear()
     cold = evaluate_point(weak, det, "click")
     strong_first = evaluate_point(strong, det, "click")
     assert evaluate_point(weak, det, "click") == cold
-    clicks._operators.clear()
+    evaluate_point(weak, DetectionParams(eta=0.9, gamma=1e-3), "click")
+    assert evaluate_point(weak, det, "click") == cold
+    clicks._last_operator.clear()
     assert evaluate_point(strong, det, "click") == strong_first
     assert evaluate_point(weak, det, "click") == cold
 
 
-def test_the_cache_is_bounded_and_its_operators_read_only():
-    gammas = [i * 1e-3 for i in range(40)]
-    for gamma in gammas:
-        op, _ = _click_operator(0.5, gamma, 10)
-        assert not op.flags.writeable
-    assert len(clicks._operators) == 32
-    assert (0.5, gammas[-1]) in clicks._operators
-    assert (0.5, gammas[0]) not in clicks._operators
+def test_the_kept_operator_is_read_only_and_grows_geometrically():
+    clicks._last_operator.clear()
+    op, _ = _click_operator(0.5, 1e-5, 10)
+    assert not op.flags.writeable
+    _click_operator(0.5, 1e-5, 11)
+    assert [len(op) for op, _ in clicks._last_operator.values()] == [20]
+    _click_operator(0.7, 1e-5, 5)
+    assert list(clicks._last_operator) == [(0.7, 1e-5)]
+    assert len(clicks._last_operator[0.7, 1e-5][0]) == 5
 
 
 def test_import_does_not_load_scipy():
@@ -136,7 +140,7 @@ def test_import_does_not_load_scipy():
     code = "import sys, hbt4; print('scipy' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
