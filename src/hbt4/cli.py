@@ -411,35 +411,63 @@ def cmd_mc(config: RunConfig) -> int:
     transformed = apply_detection(base, mc_config.detection)
     expected_clicks = click_probabilities(transformed)
     expected = click_coherence(transformed)
+    click_pulls = [
+        _pull(est, se, float(det))
+        for est, se, det in zip(result.gamma_hat, result.gamma_se, expected_clicks.probs)
+    ]
+    coherences = {
+        name: {"estimate": est, "std_error": se, "deterministic": det,
+               "pull": _pull(est, se, det)}
+        for name, est, se, det in (
+            ("g2", result.estimated.g2, result.estimated_se[0], expected.g2),
+            ("g3", result.estimated.g3, result.estimated_se[1], expected.g3),
+            ("g4", result.estimated.g4, result.estimated_se[2], expected.g4),
+        )
+    }
+    if config.format == "json":
+        report = {
+            "trials": config.trials,
+            "seed": config.seed,
+            "condition_min_photons": config.condition_min_photons,
+            "click_histogram": [int(x) for x in result.click_histogram],
+            "gamma_hat": [float(x) for x in result.gamma_hat],
+            "gamma_se": [float(x) for x in result.gamma_se],
+            "deterministic_click_probabilities": [float(x) for x in expected_clicks.probs],
+            "pulls": click_pulls,
+            "coherence": coherences,
+        }
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", config.out)
+        return EXIT_OK
+    # Every column but the last keeps at least one space after its value.
     lines = [
         f"trials={config.trials} seed={config.seed} "
         f"condition_min_photons={config.condition_min_photons}",
         "clicks  histogram  estimate      std-error     deterministic  pull",
     ]
-    worst = 0.0
-    for i in range(5):
-        est, se, det = result.gamma_hat[i], result.gamma_se[i], float(expected_clicks.probs[i])
-        pull = abs(est - det) / se if se > 0 else 0.0 if est == det else math.inf
-        worst = max(worst, pull)
+    for i, pull in enumerate(click_pulls):
         lines.append(
-            f"G_{i}     {int(result.click_histogram[i]):<10d}"
-            f"{format_number(est):<14s}{format_number(se):<14s}"
-            f"{format_number(det):<15s}{format_number(pull)}"
+            f"G_{i}     {int(result.click_histogram[i]):<9d} "
+            f"{format_number(result.gamma_hat[i]):<13s} "
+            f"{format_number(result.gamma_se[i]):<13s} "
+            f"{format_number(float(expected_clicks.probs[i])):<14s} {format_number(pull)}"
         )
-    for name, est, se, det in (
-        ("g2", result.estimated.g2, result.estimated_se[0], expected.g2),
-        ("g3", result.estimated.g3, result.estimated_se[1], expected.g3),
-        ("g4", result.estimated.g4, result.estimated_se[2], expected.g4),
-    ):
-        pull = abs(est - det) / se if se > 0 else 0.0 if est == det else math.inf
+    for name, c in coherences.items():
         lines.append(
-            f"{name}: estimate={format_number(est)} +- {format_number(se)} "
-            f"deterministic={format_number(det)} pull={format_number(pull)}"
+            f"{name}: estimate={format_number(c['estimate'])} +- {format_number(c['std_error'])} "
+            f"deterministic={format_number(c['deterministic'])} pull={format_number(c['pull'])}"
         )
+    worst = max(click_pulls)
     if worst > 4.0:
         lines.append(f"WARNING: click probabilities deviate beyond 4 standard errors (worst pull {worst:.2f})")
     _emit("\n".join(lines) + "\n", config.out)
     return EXIT_OK
+
+
+def _pull(estimate: float, se: float, deterministic: float) -> float:
+    """|estimate - deterministic| in standard errors."""
+    if se > 0:
+        return float(abs(estimate - deterministic) / se)
+    return 0.0 if estimate == deterministic else math.inf
 
 
 _COMMANDS = {

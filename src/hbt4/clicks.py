@@ -54,7 +54,8 @@ class ClickDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.shape != (N_DETECTORS + 1,):
             raise InvalidParameterError("probs", "must have exactly 5 entries")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
+        # NaN fails the comparison through min; +-inf makes the sum non-finite.
+        if not (probs.min() >= 0.0 and math.isfinite(probs.sum())):
             raise InvalidParameterError("probs", "entries must be finite and >= 0")
 
     @property

@@ -15,15 +15,29 @@ the estimates recombined with the exact stratum weights.  That keeps
 four-click validation feasible in seconds instead of days; only the
 routing combinatorics remain stochastic in that mode.
 
-Determinism: trials are processed in fixed-size chunks and every
-(stratum, chunk) pair draws from its own counter-based Philox stream keyed
-on (seed, stratum, chunk), so results are bit-identical for a given
-McConfig regardless of scheduling.
+Routing is simulated photon by photon.  A trial with L < 2 photons at the
+splitter fires exactly L detectors, so it is counted without a draw.  Each
+photon of a trial with L >= 2 lands on a detector drawn uniformly from the
+four; the trial's fired detectors are the OR of one bit per photon, and its
+click count is the popcount of that 4-bit mask.  No path uses the
+occupancy table, the click operator or any other closed form for clicks,
+so the simulation stays an independent check of them.
+
+Determinism: trials are processed in chunks of at most 2^20 and every
+(stratum, chunk) job draws from its own counter-based Philox stream keyed
+on (seed, stratum, chunk).  The jobs are mapped over a thread pool of one
+worker per available CPU (numpy's samplers and array kernels release the
+GIL); their integer histograms are summed per stratum after the map, so
+results are bit-identical for a given McConfig regardless of worker count
+and scheduling.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +48,11 @@ from .errors import InvalidParameterError, NoSignalError
 from .states import PhotonDistribution, StateParams, squeezed_distribution
 
 _CHUNK = 1 << 20
-_ROUTING = np.full(N_DETECTORS, 1.0 / N_DETECTORS)
+_DETECTOR_BIT = (1 << np.arange(N_DETECTORS)).astype(np.uint8)
+_POPCOUNT = np.array([bin(mask).count("1") for mask in range(1 << N_DETECTORS)])
+
+# Photon totals at the splitter for ``size`` trials, drawn from ``rng``.
+Sampler = Callable[["np.random.Generator", int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -48,6 +66,10 @@ class McConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("trials", "seed", "condition_min_photons"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(name, "must be an integer")
         if self.trials < 1:
             raise InvalidParameterError("trials", "must be >= 1")
         if not (0 <= self.seed < 2**64):
@@ -76,17 +98,31 @@ def _rng(seed: int, stratum: int, chunk: int) -> np.random.Generator:
 
 
 def _route_clicks(rng: np.random.Generator, totals: np.ndarray) -> np.ndarray:
-    """Click-count histogram for trials with the given photon totals."""
-    counts = rng.multinomial(totals, _ROUTING)
-    clicks = (counts > 0).sum(axis=1)
-    return np.bincount(clicks, minlength=N_DETECTORS + 1)
+    """Click-count histogram for trials with the given photon totals.
+
+    A trial with 0 or 1 photons fires that many detectors.  Every photon of
+    the other trials lands on a uniformly drawn detector; a trial's fired
+    detectors are the OR of ``1 << detector`` over its photons, and its
+    click count the popcount of that 4-bit mask.
+    """
+    hist = np.zeros(N_DETECTORS + 1, dtype=np.int64)
+    hist[1] = np.count_nonzero(totals == 1)
+    many = totals[totals >= 2]
+    hist[0] = totals.size - hist[1] - many.size
+    if many.size:
+        ends = np.cumsum(many)
+        detectors = rng.integers(0, N_DETECTORS, size=int(ends[-1]), dtype=np.uint8)
+        ends -= many
+        masks = np.bitwise_or.reduceat(_DETECTOR_BIT[detectors], ends)
+        hist += np.bincount(_POPCOUNT[masks], minlength=N_DETECTORS + 1)
+    return hist
 
 
 def _sample_inverse_cdf(rng: np.random.Generator, cum: np.ndarray, size: int) -> np.ndarray:
     idx = np.searchsorted(cum, rng.random(size), side="right")
     # Mass beyond the truncated support (< the distribution tolerance) is
     # clamped onto the last retained photon number.
-    return np.minimum(idx, cum.size - 1)
+    return np.minimum(idx, cum.size - 1, out=idx)
 
 
 def _source_distribution(config: McConfig) -> PhotonDistribution:
@@ -95,62 +131,98 @@ def _source_distribution(config: McConfig) -> PhotonDistribution:
     return squeezed_distribution(config.state, config.tol)
 
 
-def _full_chain_histogram(config: McConfig, source: PhotonDistribution) -> np.ndarray:
-    """Sample the generative chain trial by trial (no stratification)."""
-    cum = np.cumsum(source.probs)
-    eta, gamma = config.detection.eta, config.detection.gamma
-    hist = np.zeros(N_DETECTORS + 1, dtype=np.int64)
-    done = 0
-    chunk_index = 0
-    while done < config.trials:
-        size = min(_CHUNK, config.trials - done)
-        rng = _rng(config.seed, 0, chunk_index)
+def _sampler(probs: np.ndarray, offset: int = 0, eta: float = 1.0, gamma: float = 0.0) -> Sampler:
+    """Photon totals at the splitter: ``offset`` plus a draw from ``probs``,
+    thinned by binomial loss at efficiency ``eta``, plus Poisson(``gamma``)
+    background photons."""
+    cum = np.cumsum(probs)
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         n = _sample_inverse_cdf(rng, cum, size)
-        kept = rng.binomial(n, eta) if eta < 1.0 else n
-        totals = kept + (rng.poisson(gamma, size) if gamma > 0.0 else 0)
-        hist += _route_clicks(rng, totals)
-        done += size
-        chunk_index += 1
-    return hist
+        if eta < 1.0:
+            n = rng.binomial(n, eta)
+        if gamma > 0.0:
+            n += rng.poisson(gamma, size)
+        n += offset
+        return n
+
+    return draw
 
 
-def _stratified_histograms(
-    config: McConfig, transformed: PhotonDistribution
-) -> tuple[list[np.ndarray], list[float], list[int]]:
-    """Per-stratum click histograms, stratum weights and trial counts."""
+def _strata(
+    config: McConfig, source: PhotonDistribution
+) -> tuple[list[Sampler], list[float], list[int]]:
+    """Samplers, exact weights and trial counts of the strata to simulate."""
     k = config.condition_min_photons
-    probs = transformed.probs
-    strata: list[tuple[int, np.ndarray]] = []  # (offset, renormalized probs)
+    if k == 0:
+        det = config.detection
+        return [_sampler(source.probs, eta=det.eta, gamma=det.gamma)], [1.0], [config.trials]
+    probs = apply_detection(source, config.detection).probs
+    samplers: list[Sampler] = []
     weights: list[float] = []
     head_w = float(probs[:k].sum())
     tail_w = float(probs[k:].sum())
     if head_w > 0.0:
-        strata.append((0, probs[:k] / head_w))
+        samplers.append(_sampler(probs[:k] / head_w))
         weights.append(head_w)
     if tail_w > 0.0:
-        strata.append((k, probs[k:] / tail_w))
+        samplers.append(_sampler(probs[k:] / tail_w, offset=k))
         weights.append(tail_w)
-    if not strata:
+    if not samplers:
         raise NoSignalError("transformed distribution carries no probability mass")
+    if config.trials < len(samplers):
+        raise InvalidParameterError(
+            "trials", f"must be >= {len(samplers)}, one per populated stratum"
+        )
     # Split trials evenly across the active strata, remainder to the first.
-    per = config.trials // len(strata)
-    trial_counts = [per] * len(strata)
-    trial_counts[0] += config.trials - per * len(strata)
-    histograms = []
-    for s, ((offset, p), t_s) in enumerate(zip(strata, trial_counts)):
-        cum = np.cumsum(p)
-        hist = np.zeros(N_DETECTORS + 1, dtype=np.int64)
-        done = 0
-        chunk_index = 0
-        while done < t_s:
-            size = min(_CHUNK, t_s - done)
-            rng = _rng(config.seed, s + 1, chunk_index)
-            totals = offset + _sample_inverse_cdf(rng, cum, size)
-            hist += _route_clicks(rng, totals)
-            done += size
-            chunk_index += 1
-        histograms.append(hist)
-    return histograms, weights, trial_counts
+    per = config.trials // len(samplers)
+    trial_counts = [per] * len(samplers)
+    trial_counts[0] += config.trials - per * len(samplers)
+    return samplers, weights, trial_counts
+
+
+def _workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _histograms(
+    config: McConfig, samplers: list[Sampler], trial_counts: list[int]
+) -> list[np.ndarray]:
+    """Per-stratum click histograms, one job per (stratum, chunk).
+
+    The full chain draws from stream stratum 0, the strata of stratified
+    mode from 1, 2, ...
+    """
+    first = 1 if config.condition_min_photons > 0 else 0
+    jobs = [
+        (s, chunk, min(_CHUNK, t_s - done))
+        for s, t_s in enumerate(trial_counts)
+        for chunk, done in enumerate(range(0, t_s, _CHUNK))
+    ]
+
+    def run(job: tuple[int, int, int]) -> np.ndarray:
+        s, chunk, size = job
+        rng = _rng(config.seed, s + first, chunk)
+        return _route_clicks(rng, samplers[s](rng, size))
+
+    workers = min(len(jobs), _workers())
+    if workers > 1:
+        # Imported here, not at the top: it loads logging, which nothing
+        # else in hbt4 needs, and would add to every import of the package.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, jobs))
+    else:
+        results = [run(job) for job in jobs]
+    histograms = [np.zeros(N_DETECTORS + 1, dtype=np.int64) for _ in samplers]
+    for (s, _, _), hist in zip(jobs, results):
+        histograms[s] += hist
+    return histograms
 
 
 def _coherence_gradients(gamma_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,14 +246,8 @@ def run_mc(config: McConfig) -> McResult:
     Raises NoSignalError (with the result attached) when no clicks at all
     were observed, since the coherence normalization is then undefined.
     """
-    source = _source_distribution(config)
-    if config.condition_min_photons > 0:
-        transformed = apply_detection(source, config.detection)
-        histograms, weights, trial_counts = _stratified_histograms(config, transformed)
-    else:
-        histograms = [_full_chain_histogram(config, source)]
-        weights = [1.0]
-        trial_counts = [config.trials]
+    samplers, weights, trial_counts = _strata(config, _source_distribution(config))
+    histograms = _histograms(config, samplers, trial_counts)
 
     click_histogram = np.sum(histograms, axis=0)
     gamma_hat = np.zeros(N_DETECTORS + 1)

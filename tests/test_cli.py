@@ -268,6 +268,39 @@ class TestMc:
         )
         assert code == 4
 
+    def test_json_report(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "mc", "--fock", "2", "--trials", "1000", "--seed", "1", "--format", "json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert sum(report["click_histogram"]) == 1000
+        for key in ("gamma_hat", "gamma_se", "deterministic_click_probabilities", "pulls"):
+            assert len(report[key]) == 5
+        assert report["deterministic_click_probabilities"] == [0.0, 0.25, 0.75, 0.0, 0.0]
+        for order in ("g2", "g3", "g4"):
+            assert set(report["coherence"][order]) == {
+                "estimate", "std_error", "deterministic", "pull"
+            }
+        assert report["coherence"]["g2"]["deterministic"] == pytest.approx(0.75 / 1.75**2 * 8 / 3)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--fock", "2", "--trials", "1000", "--seed", "1"),
+            ("--r", "0.2", "--alpha", "0.8", "--eta", "0.7", "--gamma", "0.01",
+             "--trials", "20000", "--seed", "3"),
+        ],
+    )
+    def test_text_columns_stay_apart(self, capsys, flags):
+        code, out, _ = run_cli(capsys, "mc", *flags)
+        assert code == 0
+        rows = [line.split() for line in out.splitlines() if line.startswith("G_")]
+        assert len(rows) == 5
+        assert all(len(row) == 6 for row in rows)
+        # The case the spacing is for: a value as wide as its column.
+        assert max(len(field) for row in rows for field in row[2:5]) >= 14
+
 
 class TestConfigRoundTrip:
     # Flags per command; each run writes to a location given at run time,
@@ -283,11 +316,15 @@ class TestConfigRoundTrip:
                    "--set", "theta=0.5"),
         "mc": ("--r", "0.2", "--alpha", "0.5", "--eta", "0.9", "--gamma", "1e-3",
                "--trials", "20000", "--seed", "3", "--condition-min", "1"),
+        "mc-json": ("--r", "0.2", "--alpha", "0.5", "--eta", "0.9", "--gamma", "1e-3",
+                    "--trials", "20000", "--seed", "3", "--condition-min", "1",
+                    "--format", "json"),
     }
 
-    @pytest.mark.parametrize("command", sorted(ROUND_TRIPS))
-    def test_dump_and_rerun_byte_identical(self, capsys, tmp_path, command):
-        flags = self.ROUND_TRIPS[command]
+    @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+    def test_dump_and_rerun_byte_identical(self, capsys, tmp_path, case):
+        command = case.split("-")[0]
+        flags = self.ROUND_TRIPS[case]
         code, dumped, _ = run_cli(capsys, "dump-config", command, *flags)
         assert code == 0
         config_path = tmp_path / "run.json"

@@ -146,3 +146,21 @@ def test_import_does_not_load_scipy():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_import_does_not_load_random_or_thread_pool():
+    # Both load only when run_mc runs: numpy.random alone adds about 6 MB
+    # and 15 ms to every import of the package.
+    src = str(Path(hbt4.__file__).resolve().parent.parent)
+    code = (
+        "import sys, hbt4; "
+        "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

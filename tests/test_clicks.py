@@ -7,6 +7,7 @@ import pytest
 
 from hbt4 import (
     DetectionParams,
+    InvalidParameterError,
     NoSignalError,
     PhotonDistribution,
     StateParams,
@@ -134,6 +135,22 @@ class TestCoherenceFromClicks:
     def test_click_distribution_validation(self):
         with pytest.raises(Exception):
             ClickDistribution(probs=np.array([0.5, 0.5, 0.1]))
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.5, math.nan, 0.2, 0.2, 0.1],
+            [0.5, math.inf, 0.2, 0.2, 0.1],
+            [0.5, -math.inf, 0.2, 0.2, 0.1],
+            [0.5, -1e-300, 0.2, 0.2, 0.1],
+            [0.5, 0.2, 0.2, 0.1],
+            [[0.5, 0.2, 0.2, 0.1, 0.0]],
+        ],
+        ids=["nan", "+inf", "-inf", "tiny-negative", "four-entries", "2-d"],
+    )
+    def test_click_distribution_rejects(self, probs):
+        with pytest.raises(InvalidParameterError):
+            ClickDistribution(probs=np.array(probs))
 
 
 class TestMonotoneSaturation:

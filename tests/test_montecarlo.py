@@ -8,6 +8,7 @@ from hbt4 import (
     InvalidParameterError,
     McConfig,
     NoSignalError,
+    PhotonDistribution,
     StateParams,
     apply_detection,
     click_coherence,
@@ -16,6 +17,8 @@ from hbt4 import (
     run_mc,
     squeezed_distribution,
 )
+from hbt4 import montecarlo
+from hbt4.montecarlo import _CHUNK
 
 
 def deterministic_clicks(config: McConfig):
@@ -171,6 +174,64 @@ class TestRoutingExchangeability:
         np.testing.assert_array_equal(clicks, clicks_permuted)
 
 
+class TestSampler:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            McConfig(
+                trials=2 * _CHUNK + 3,
+                seed=77,
+                state=StateParams(r=0.3, theta=1.0, alpha=1.0),
+                detection=DetectionParams(eta=0.6, gamma=0.2),
+            ),
+            # Two strata of just over 2^20 trials each: two chunks apiece.
+            McConfig(
+                trials=2 * _CHUNK + 5,
+                seed=78,
+                state=StateParams(r=0.3, theta=1.0, alpha=1.0),
+                detection=DetectionParams(eta=0.6, gamma=0.2),
+                condition_min_photons=2,
+            ),
+        ],
+        ids=["full-chain", "stratified"],
+    )
+    def test_bit_identical_for_any_worker_count(self, config, monkeypatch):
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_workers", lambda workers=workers: workers)
+            results.append(run_mc(config))
+        for other in results[1:]:
+            np.testing.assert_array_equal(other.click_histogram, results[0].click_histogram)
+            np.testing.assert_array_equal(other.gamma_hat, results[0].gamma_hat)
+            np.testing.assert_array_equal(other.gamma_se, results[0].gamma_se)
+            assert other.estimated == results[0].estimated
+            assert other.estimated_se == results[0].estimated_se
+
+    def test_single_photon_is_one_click_without_loss_or_noise(self):
+        result = run_mc(McConfig(trials=123_457, seed=3, source=fock_distribution(1)))
+        np.testing.assert_array_equal(result.click_histogram, [0, 123_457, 0, 0, 0])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_routing_matches_exact_occupancy(self, n):
+        trials = 1_000_000
+        result = run_mc(McConfig(trials=trials, seed=500 + n, source=fock_distribution(n)))
+        exact = click_probabilities(fock_distribution(n)).probs
+        sigma = np.sqrt(exact * (1.0 - exact) / trials)
+        assert np.all(np.abs(result.gamma_hat - exact) <= 4.0 * sigma + 1e-15)
+
+    @pytest.mark.parametrize("condition", [0, 2])
+    @pytest.mark.parametrize("trials", [3, _CHUNK - 1, _CHUNK + 7])
+    def test_histogram_sums_to_trials_across_chunks(self, trials, condition):
+        config = McConfig(
+            trials=trials,
+            seed=9,
+            state=StateParams(r=0.2, theta=0.3, alpha=3.0),
+            detection=DetectionParams(eta=0.7, gamma=0.05),
+            condition_min_photons=condition,
+        )
+        assert run_mc(config).click_histogram.sum() == trials
+
+
 class TestConfigValidation:
     def test_requires_source_or_state(self):
         with pytest.raises(InvalidParameterError):
@@ -183,3 +244,22 @@ class TestConfigValidation:
     def test_rejects_negative_condition(self):
         with pytest.raises(InvalidParameterError):
             McConfig(trials=10, seed=0, source=fock_distribution(1), condition_min_photons=-1)
+
+    @pytest.mark.parametrize("name", ["trials", "seed", "condition_min_photons"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_rejects_non_integer_counts(self, name, value):
+        fields = dict(trials=10, seed=0, source=fock_distribution(1))
+        fields[name] = value
+        with pytest.raises(InvalidParameterError, match=name):
+            McConfig(**fields)
+
+    def test_accepts_numpy_integer_trials(self):
+        config = McConfig(trials=np.int64(10), seed=0, source=fock_distribution(1))
+        assert run_mc(config).click_histogram.sum() == 10
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_fewer_trials_than_strata(self):
+        source = PhotonDistribution(np.array([0.5, 0.2, 0.2, 0.1]), 0.0)
+        config = McConfig(trials=1, seed=0, source=source, condition_min_photons=2)
+        with pytest.raises(InvalidParameterError, match="trials"):
+            run_mc(config)
