@@ -430,13 +430,15 @@ def cmd_mc(config: RunConfig) -> int:
             "seed": config.seed,
             "condition_min_photons": config.condition_min_photons,
             "click_histogram": [int(x) for x in result.click_histogram],
-            "gamma_hat": [float(x) for x in result.gamma_hat],
-            "gamma_se": [float(x) for x in result.gamma_se],
-            "deterministic_click_probabilities": [float(x) for x in expected_clicks.probs],
-            "pulls": click_pulls,
-            "coherence": coherences,
+            "gamma_hat": [_json_float(x) for x in result.gamma_hat],
+            "gamma_se": [_json_float(x) for x in result.gamma_se],
+            "deterministic_click_probabilities": [_json_float(x) for x in expected_clicks.probs],
+            "pulls": [_json_float(x) for x in click_pulls],
+            "coherence": {
+                name: {k: _json_float(v) for k, v in c.items()} for name, c in coherences.items()
+            },
         }
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", config.out)
+        _emit(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", config.out)
         return EXIT_OK
     # Every column but the last keeps at least one space after its value.
     lines = [
@@ -461,6 +463,12 @@ def cmd_mc(config: RunConfig) -> int:
         lines.append(f"WARNING: click probabilities deviate beyond 4 standard errors (worst pull {worst:.2f})")
     _emit("\n".join(lines) + "\n", config.out)
     return EXIT_OK
+
+
+def _json_float(x: float) -> float | None:
+    """Strict JSON has no NaN or Infinity; such a value reports as null."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def _pull(estimate: float, se: float, deterministic: float) -> float:

@@ -17,19 +17,24 @@ routing combinatorics remain stochastic in that mode.
 
 Routing is simulated photon by photon.  A trial with L < 2 photons at the
 splitter fires exactly L detectors, so it is counted without a draw.  Each
-photon of a trial with L >= 2 lands on a detector drawn uniformly from the
-four; the trial's fired detectors are the OR of one bit per photon, and its
-click count is the popcount of that 4-bit mask.  No path uses the
-occupancy table, the click operator or any other closed form for clicks,
-so the simulation stays an independent check of them.
+further photon of a trial with L >= 2 lands on a detector drawn uniformly
+from the four.  Detectors are exchangeable, so with k of them fired they can
+be labelled 0 .. k-1, and the photon fires a new one exactly when its drawn
+detector is >= k.  A trial leaves the simulation when its photons run out or
+all four detectors have fired, so routing draws O(1) numbers per trial in
+expectation (on average 25/3 photons fire all four) and its memory is
+bounded by the number of trials, however bright the field.  No
+path uses the occupancy table, the click operator or any other closed form
+for clicks, so the simulation stays an independent check of them.
 
-Determinism: trials are processed in chunks of at most 2^20 and every
+Determinism: trials are processed in chunks of at most 2^18 and every
 (stratum, chunk) job draws from its own counter-based Philox stream keyed
 on (seed, stratum, chunk).  The jobs are mapped over a thread pool of one
-worker per available CPU (numpy's samplers and array kernels release the
-GIL); their integer histograms are summed per stratum after the map, so
-results are bit-identical for a given McConfig regardless of worker count
-and scheduling.
+worker per available CPU, at most 4 (numpy's samplers and array kernels
+release the GIL); their integer histograms are summed per stratum after the
+map, so results are bit-identical for a given McConfig regardless of worker
+count and scheduling.  The cap keeps at most 4 x 2^18 = 2^20 trials in
+flight, whatever the number of CPUs the host reports.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ from .detection import DetectionParams, apply_detection
 from .errors import InvalidParameterError, NoSignalError
 from .states import PhotonDistribution, StateParams, squeezed_distribution
 
-_CHUNK = 1 << 20
-_DETECTOR_BIT = (1 << np.arange(N_DETECTORS)).astype(np.uint8)
-_POPCOUNT = np.array([bin(mask).count("1") for mask in range(1 << N_DETECTORS)])
+_CHUNK = 1 << 18
+# A CPU quota does not show in the affinity mask, and each worker holds a
+# chunk: the cap bounds both the threads and the memory in flight.
+_MAX_WORKERS = 4
 
 # Photon totals at the splitter for ``size`` trials, drawn from ``rng``.
 Sampler = Callable[["np.random.Generator", int], np.ndarray]
@@ -100,21 +106,24 @@ def _rng(seed: int, stratum: int, chunk: int) -> np.random.Generator:
 def _route_clicks(rng: np.random.Generator, totals: np.ndarray) -> np.ndarray:
     """Click-count histogram for trials with the given photon totals.
 
-    A trial with 0 or 1 photons fires that many detectors.  Every photon of
-    the other trials lands on a uniformly drawn detector; a trial's fired
-    detectors are the OR of ``1 << detector`` over its photons, and its
-    click count the popcount of that 4-bit mask.
+    A trial with 0 or 1 photons fires that many detectors.  The other trials
+    route their photons one per round: with ``fired`` detectors labelled
+    0 .. fired-1, a photon drawn onto detector ``d >= fired`` fires a new one.
+    A trial is counted and dropped once its photons run out or all four
+    detectors have fired.
     """
     hist = np.zeros(N_DETECTORS + 1, dtype=np.int64)
     hist[1] = np.count_nonzero(totals == 1)
-    many = totals[totals >= 2]
-    hist[0] = totals.size - hist[1] - many.size
-    if many.size:
-        ends = np.cumsum(many)
-        detectors = rng.integers(0, N_DETECTORS, size=int(ends[-1]), dtype=np.uint8)
-        ends -= many
-        masks = np.bitwise_or.reduceat(_DETECTOR_BIT[detectors], ends)
-        hist += np.bincount(_POPCOUNT[masks], minlength=N_DETECTORS + 1)
+    left = totals[totals >= 2]
+    hist[0] = totals.size - hist[1] - left.size
+    fired = np.ones(left.size, dtype=np.uint8)
+    left -= 1
+    while left.size:
+        fired += rng.integers(0, N_DETECTORS, size=left.size, dtype=np.uint8) >= fired
+        left -= 1
+        done = (left == 0) | (fired == N_DETECTORS)
+        hist += np.bincount(fired[done], minlength=N_DETECTORS + 1)
+        fired, left = fired[~done], left[~done]
     return hist
 
 
@@ -182,7 +191,7 @@ def _strata(
 
 
 def _workers() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on (all of the host's under a CPU quota)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -209,7 +218,7 @@ def _histograms(
         rng = _rng(config.seed, s + first, chunk)
         return _route_clicks(rng, samplers[s](rng, size))
 
-    workers = min(len(jobs), _workers())
+    workers = min(len(jobs), _workers(), _MAX_WORKERS)
     if workers > 1:
         # Imported here, not at the top: it loads logging, which nothing
         # else in hbt4 needs, and would add to every import of the package.

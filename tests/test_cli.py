@@ -284,6 +284,24 @@ class TestMc:
             }
         assert report["coherence"]["g2"]["deterministic"] == pytest.approx(0.75 / 1.75**2 * 8 / 3)
 
+    def test_json_report_is_strict_json_when_a_rare_count_is_unobserved(self, capsys):
+        # At the paper's weak regime G_4 ~ 1e-17 is never observed: its
+        # standard error is 0 and its pull infinite, which strict JSON
+        # cannot hold.
+        code, out, _ = run_cli(
+            capsys, "mc", "--r", "1e-3", "--alpha", "0.03", "--eta", "0.5", "--gamma", "1e-5",
+            "--condition-min", "2", "--trials", "1000", "--seed", "1", "--format", "json",
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["click_histogram"][4] == 0
+        assert report["gamma_se"][4] == 0.0
+        assert report["pulls"][4] is None
+
     @pytest.mark.parametrize(
         "flags",
         [

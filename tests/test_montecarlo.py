@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,12 +180,12 @@ class TestSampler:
         "config",
         [
             McConfig(
-                trials=2 * _CHUNK + 3,
+                trials=8 * _CHUNK + 3,
                 seed=77,
                 state=StateParams(r=0.3, theta=1.0, alpha=1.0),
                 detection=DetectionParams(eta=0.6, gamma=0.2),
             ),
-            # Two strata of just over 2^20 trials each: two chunks apiece.
+            # Two strata of just over _CHUNK trials each: two chunks apiece.
             McConfig(
                 trials=2 * _CHUNK + 5,
                 seed=78,
@@ -207,17 +208,48 @@ class TestSampler:
             assert other.estimated == results[0].estimated
             assert other.estimated_se == results[0].estimated_se
 
+    def test_pool_is_capped_whatever_the_cpu_count(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 64)
+        run_mc(McConfig(trials=8 * _CHUNK, seed=5, source=fock_distribution(2)))
+        assert sizes == [montecarlo._MAX_WORKERS]
+
     def test_single_photon_is_one_click_without_loss_or_noise(self):
         result = run_mc(McConfig(trials=123_457, seed=3, source=fock_distribution(1)))
         np.testing.assert_array_equal(result.click_histogram, [0, 123_457, 0, 0, 0])
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", [*range(2, 9), 16, 32])
     def test_routing_matches_exact_occupancy(self, n):
         trials = 1_000_000
         result = run_mc(McConfig(trials=trials, seed=500 + n, source=fock_distribution(n)))
         exact = click_probabilities(fock_distribution(n)).probs
         sigma = np.sqrt(exact * (1.0 - exact) / trials)
         assert np.all(np.abs(result.gamma_hat - exact) <= 4.0 * sigma + 1e-15)
+
+    def test_bright_field_routing_memory_is_bounded_by_trials(self):
+        # 2000 photons per trial at the splitter: all four detectors fire,
+        # and routing must not hold a draw per photon (that would take
+        # 2000 bytes per trial and more).
+        trials = 1 << 14
+        source = fock_distribution(2000)
+        tracemalloc.start()
+        try:
+            result = run_mc(McConfig(trials=trials, seed=4, source=source))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(click_probabilities(source).probs, [0, 0, 0, 0, 1], atol=1e-15)
+        np.testing.assert_array_equal(result.click_histogram, [0, 0, 0, 0, trials])
+        assert peak < 200 * trials
 
     @pytest.mark.parametrize("condition", [0, 2])
     @pytest.mark.parametrize("trials", [3, _CHUNK - 1, _CHUNK + 7])
