@@ -18,7 +18,7 @@ from typing import Callable
 from .detection import DetectionParams
 from .errors import InvalidParameterError
 from .states import StateParams
-from .sweep import SweepAxis, SweepRow, SweepSpec, SweepTable, minimized_map, sweep
+from .sweep import SweepAxis, SweepRow, SweepSpec, SweepTable, minimized_maps, sweep
 
 FEASIBLE_DETECTION = DetectionParams(eta=0.5, gamma=1e-5)
 
@@ -147,18 +147,15 @@ def minimum_maps(overrides: dict) -> tuple[dict, dict[str, SweepTable]]:
         "coarse_points": 60,
     }
     p = _merge(defaults, overrides)
-    state = StateParams(r=p["r"], theta=p["theta"], alpha=0.0)
-    tables = {}
-    for order in p["orders"]:
-        tables[f"gmin{order}"] = minimized_map(
-            order,
-            _axis("gamma", p, "gamma"),
-            _axis("eta", p, "eta"),
-            state,
-            alpha_bounds=(p["alpha_min"], p["alpha_max"]),
-            coarse_points=p["coarse_points"],
-        )
-    return p, tables
+    tables = minimized_maps(
+        p["orders"],
+        _axis("gamma", p, "gamma"),
+        _axis("eta", p, "eta"),
+        StateParams(r=p["r"], theta=p["theta"], alpha=0.0),
+        alpha_bounds=(p["alpha_min"], p["alpha_max"]),
+        coarse_points=p["coarse_points"],
+    )
+    return p, {f"gmin{order}": table for order, table in tables.items()}
 
 
 def squeezing_scans_at_pi(overrides: dict) -> tuple[dict, dict[str, SweepTable]]:

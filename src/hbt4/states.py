@@ -67,11 +67,13 @@ class PhotonDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise InvalidParameterError("probs", "must be a non-empty 1-d array")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
+        # NaN and -inf fail the comparison through min; +inf makes the sum
+        # non-finite.
+        if not (probs.min() >= 0.0 and math.isfinite(total := probs.sum())):
             raise InvalidParameterError("probs", "entries must be finite and >= 0")
         if not (0.0 <= self.tail_mass <= 1.0):
             raise InvalidParameterError("tail_mass", f"must lie in [0, 1], got {self.tail_mass}")
-        total = probs.sum() + self.tail_mass
+        total += self.tail_mass
         if abs(total - 1.0) > 1e-9:
             raise InternalInvariantError(
                 f"probabilities + tail must sum to 1, got {total!r}"

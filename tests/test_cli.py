@@ -223,6 +223,22 @@ class TestFigure:
         assert len(lines) == 5
         assert "alpha_min=" in lines[1]
 
+    @pytest.mark.parametrize(
+        "override",
+        ["orders=2", "orders=[]", "orders=[2,2]", "orders=[5]", "coarse_points=1",
+         "coarse_points=2.5", "gamma_points=2.5"],
+    )
+    def test_bad_minimum_map_override_is_config_error(self, capsys, tmp_path, override):
+        code, _, err = run_cli(
+            capsys,
+            "figure", "--preset", "fig4",
+            "--set", "gamma_points=2", "--set", "eta_points=2", "--set", override,
+            "--outdir", str(tmp_path),
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_override_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

@@ -19,6 +19,7 @@ from hbt4 import (
     squeezed_distribution,
 )
 from hbt4 import montecarlo
+from hbt4.clicks import _occupancy_table
 from hbt4.montecarlo import _CHUNK
 
 
@@ -163,16 +164,28 @@ class TestStratifiedSampling:
 
 
 class TestRoutingExchangeability:
-    def test_click_count_invariant_under_detector_relabeling(self):
-        # The click count is a symmetric function of the per-detector
-        # occupation, so permuting detector labels must not change it.
-        rng = np.random.Generator(np.random.Philox(123))
-        totals = rng.poisson(1.5, 200_000)
-        counts = rng.multinomial(totals, [0.25] * 4)
-        clicks = (counts > 0).sum(axis=1)
-        permuted = counts[:, [2, 0, 3, 1]]
-        clicks_permuted = (permuted > 0).sum(axis=1)
-        np.testing.assert_array_equal(clicks, clicks_permuted)
+    """``_route_clicks`` labels fired detectors 0..k-1, which is exact only
+    because the detectors are exchangeable: its click counts must follow
+    the occupancy law of L photons thrown into 4 equally likely cells."""
+
+    def test_zero_and_one_photon_fire_that_many_detectors(self):
+        rng = np.random.Generator(np.random.Philox(121))
+        trials = 1000
+        for photons, expected in ((0, [trials, 0, 0, 0, 0]), (1, [0, trials, 0, 0, 0])):
+            totals = np.full(trials, photons, dtype=np.int64)
+            assert montecarlo._route_clicks(rng, totals).tolist() == expected
+
+    @pytest.mark.parametrize("photons", [2, 3, 5, 9, 40])
+    def test_exactly_l_photons_follow_the_occupancy_row(self, photons):
+        rng = np.random.Generator(np.random.Philox(123 + photons))
+        trials = 2**16
+        totals = np.full(trials, photons, dtype=np.int64)
+        hist = montecarlo._route_clicks(rng, totals)
+        assert hist.sum() == trials
+        np.testing.assert_array_equal(totals, photons)
+        p = _occupancy_table(photons + 1)[photons]
+        sigma = np.sqrt(trials * p * (1.0 - p))
+        assert np.all(np.abs(hist - trials * p) <= 4.0 * sigma), (hist, trials * p)
 
 
 class TestSampler:

@@ -5,6 +5,7 @@ import pytest
 
 from hbt4 import (
     DetectionParams,
+    InternalInvariantError,
     InvalidParameterError,
     PhotonDistribution,
     StateParams,
@@ -179,6 +180,32 @@ class TestPhotonDistribution:
     def test_rejects_unnormalized(self):
         with pytest.raises(Exception):
             PhotonDistribution(probs=np.array([0.5, 0.1]), tail_mass=0.0)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, math.nan, 0.5], [0.5, math.inf], [1.0, -math.inf, 0.0], [math.inf, -math.inf]],
+        ids=["nan", "inf", "minus-inf", "both-infs"],
+    )
+    def test_rejects_non_finite_entries(self, probs):
+        with pytest.raises(InvalidParameterError):
+            PhotonDistribution(probs=np.array(probs), tail_mass=0.0)
+
+    @pytest.mark.parametrize("probs", [np.array([[0.5, 0.5]]), np.array([]), np.float64(1.0)],
+                             ids=["2-d", "empty", "0-d"])
+    def test_rejects_arrays_that_are_not_non_empty_1d(self, probs):
+        with pytest.raises(InvalidParameterError):
+            PhotonDistribution(probs=probs, tail_mass=0.0)
+
+    @pytest.mark.parametrize("tail", [-1e-3, 1.5, math.nan])
+    def test_rejects_tail_outside_unit_interval(self, tail):
+        with pytest.raises(InvalidParameterError):
+            PhotonDistribution(probs=np.array([1.0]), tail_mass=tail)
+
+    def test_rejects_sum_off_one_with_internal_invariant_error(self):
+        with pytest.raises(InternalInvariantError):
+            PhotonDistribution(probs=np.array([0.5, 0.4]), tail_mass=0.05)
+        # Entries and tail summing to 1 within 1e-9 are accepted.
+        assert PhotonDistribution(probs=np.array([0.5, 0.4]), tail_mass=0.1 + 1e-12).tail_mass > 0.1
 
     def test_fock_helper(self):
         d = fock_distribution(3)

@@ -1,4 +1,6 @@
+import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,11 @@ from hbt4 import (
     squeezing_db,
     sweep,
 )
+from hbt4 import clicks
+from hbt4.sweep import minimized_maps
 from hbt4.tableio import to_csv
+
+sweep_module = importlib.import_module("hbt4.sweep")
 
 
 class TestSqueezingDb:
@@ -121,6 +127,9 @@ class TestSweep:
             SweepAxis("nonsense", 0.0, 1.0, 5)
         with pytest.raises(InvalidParameterError):
             SweepAxis("alpha", 0.0, 1.0, 1)
+        for points in (2.5, 3.0, "3", None):
+            with pytest.raises(InvalidParameterError):
+                SweepAxis("alpha", 0.0, 1.0, points)
         with pytest.raises(InvalidParameterError):
             SweepAxis("alpha", 1.0, 0.5, 5)
         with pytest.raises(InvalidParameterError):
@@ -187,6 +196,25 @@ class TestFindExtremum:
         with pytest.raises(InvalidParameterError):
             find_extremum(2, "alpha", (1e-3, 1.0), state, mode="saddle")
 
+    @pytest.mark.parametrize("coarse_points", [1, 2, 2.5, 3.0, True, None])
+    def test_rejects_coarse_grids_that_cannot_bracket(self, coarse_points):
+        state = StateParams(r=0.001, theta=0.0, alpha=0.0)
+        with pytest.raises(InvalidParameterError):
+            find_extremum(2, "alpha", (1e-3, 1.0), state, coarse_points=coarse_points)
+
+    @pytest.mark.parametrize("bracket_tol", [0.0, -1e-4, math.nan, math.inf, "1e-4"])
+    def test_rejects_bracket_tolerance_not_finite_positive(self, bracket_tol):
+        state = StateParams(r=0.001, theta=0.0, alpha=0.0)
+        with pytest.raises(InvalidParameterError):
+            find_extremum(2, "alpha", (1e-3, 1.0), state, bracket_tol=bracket_tol)
+
+    def test_three_coarse_points_suffice(self):
+        result = find_extremum(
+            2, "alpha", (1e-3, 1.0), StateParams(r=0.001, theta=0.0, alpha=0.0), coarse_points=3
+        )
+        assert not result.boundary
+        assert result.location == pytest.approx(0.0317, rel=0.02)
+
 
 class TestMinimizedMap:
     def test_monotone_in_noise_and_efficiency(self):
@@ -224,3 +252,103 @@ class TestMinimizedMap:
                 "click",
             )
             assert again.g2 == pytest.approx(row.g2, rel=1e-9)
+
+
+GAMMAS = SweepAxis("gamma", 1e-6, 1e-3, 3, "log")
+ETAS = SweepAxis("eta", 0.3, 0.9, 2)
+WEAK = StateParams(r=0.001, theta=0.3, alpha=0.0)
+
+
+def reference_rows(order, state, alpha_bounds, pipeline, coarse_points=60):
+    """The per-cell algorithm: one ``find_extremum`` per cell and order,
+    then a fresh ``evaluate_point`` at the minimizing amplitude for the
+    row's mean."""
+    rows = []
+    for gamma in GAMMAS.grid():
+        for eta in ETAS.grid():
+            detection = DetectionParams(eta=float(eta), gamma=float(gamma))
+            result = find_extremum(
+                order, "alpha", alpha_bounds, state, detection,
+                pipeline=pipeline, coarse_points=coarse_points,
+            )
+            g = [math.nan] * 3
+            g[order - 2] = result.value
+            mean = evaluate_point(
+                replace(state, alpha=result.location), detection, pipeline
+            ).mean_clicks
+            rows.append(((float(gamma), float(eta)), *g, mean, f"alpha_min={result.location:.12g}"))
+    return rows
+
+
+def as_tuples(table):
+    return [(r.axis_values, r.g2, r.g3, r.g4, r.mean, r.diagnostics) for r in table.rows]
+
+
+class TestMinimizedMaps:
+    @pytest.mark.parametrize("pipeline", ["click", "ideal"])
+    @pytest.mark.parametrize("alpha_bounds", [(1e-3, 1.0), (0.2, 1.0)])
+    def test_equals_one_search_per_cell_and_order(self, pipeline, alpha_bounds):
+        tables = minimized_maps((2, 3, 4), GAMMAS, ETAS, WEAK, alpha_bounds, pipeline)
+        assert list(tables) == [2, 3, 4]
+        for order, table in tables.items():
+            # repr compares every float bit for bit, NaN included.
+            reference = reference_rows(order, WEAK, alpha_bounds, pipeline)
+            assert repr(as_tuples(table)) == repr(reference)
+        on_bound = [r for t in tables.values() for r in t.rows if r.diagnostics == "alpha_min=0.2"]
+        assert bool(on_bound) == (alpha_bounds[0] == 0.2)
+
+    def test_one_order_map_is_the_one_order_case(self):
+        table = minimized_map(3, GAMMAS, ETAS, WEAK, coarse_points=30)
+        assert repr(as_tuples(table)) == repr(reference_rows(3, WEAK, (1e-3, 1.0), "click", 30))
+
+    def test_one_click_operator_per_cell(self, monkeypatch):
+        builds = []
+        build = clicks._build_click_operator
+
+        def counted(eta, gamma, width):
+            builds.append((eta, gamma))
+            return build(eta, gamma, width)
+
+        monkeypatch.setattr(clicks, "_build_click_operator", counted)
+        monkeypatch.setattr(clicks, "_last_operator", {})
+        minimized_maps((2, 3, 4), GAMMAS, ETAS, WEAK)
+        assert len(builds) == len(set(builds)) == 6
+
+    def test_one_coarse_grid_per_map(self, monkeypatch):
+        alphas = []
+        build = sweep_module.squeezed_distribution
+
+        def counted(params, tol=1e-12):
+            alphas.append(params.alpha)
+            return build(params, tol)
+
+        monkeypatch.setattr(sweep_module, "squeezed_distribution", counted)
+        tables = minimized_maps((2, 3, 4), GAMMAS, ETAS, WEAK, coarse_points=60)
+        grid = set(np.geomspace(1e-3, 1.0, 60).tolist())
+        assert sum(alpha in grid for alpha in alphas) == 60
+        # 6 cells x 3 orders of golden-section refinement add the rest.
+        assert 60 + 6 * 3 * 10 < len(alphas) < 60 + 6 * 3 * 25
+        rows = [r for t in tables.values() for r in t.rows]
+        assert not any(r.diagnostics.endswith(("=0.001", "=1")) for r in rows)
+
+    @pytest.mark.parametrize("orders", [2, [], [2, 2], [5], [1, 2], ["2"], [2.0], None])
+    def test_rejects_orders_outside_distinct_2_3_4(self, orders):
+        with pytest.raises(InvalidParameterError):
+            minimized_maps(orders, GAMMAS, ETAS, WEAK)
+
+    @pytest.mark.parametrize("coarse_points", [1, 2, 2.5])
+    def test_rejects_coarse_grids_that_cannot_bracket(self, coarse_points):
+        with pytest.raises(InvalidParameterError):
+            minimized_map(2, GAMMAS, ETAS, WEAK, coarse_points=coarse_points)
+        with pytest.raises(InvalidParameterError):
+            minimized_maps((2, 3), GAMMAS, ETAS, WEAK, coarse_points=coarse_points)
+
+    def test_rejects_bad_bounds_and_pipeline(self):
+        with pytest.raises(InvalidParameterError):
+            minimized_maps((2,), GAMMAS, ETAS, WEAK, alpha_bounds=(0.0, 1.0))
+        with pytest.raises(InvalidParameterError):
+            minimized_maps((2,), GAMMAS, ETAS, WEAK, alpha_bounds=(1.0, 0.1))
+        with pytest.raises(InvalidParameterError):
+            minimized_maps((2,), GAMMAS, ETAS, WEAK, pipeline="quantum")
+        with pytest.raises(InvalidParameterError):
+            minimized_maps((2,), ETAS, GAMMAS, WEAK)
