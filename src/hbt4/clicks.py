@@ -15,7 +15,8 @@ five click probabilities.  ``_click_operator`` builds that 5 x n matrix
 from the same positive pieces (occupancy rows, a correlation with the
 Poisson noise kernel, a de Casteljau pass for the binomial loss) and
 keeps the operator of the last detector asked for, so that a state costs
-one matrix-vector product.  Column n is the click distribution of exactly
+one matrix-vector product, and a grid of states packed as matrix columns
+one matrix product.  Column n is the click distribution of exactly
 n photons, whatever the support it is used with.  The per-distribution
 chain, ``click_probabilities`` of ``detection.apply_detection``, is its
 reference.
@@ -243,8 +244,38 @@ def multinomial_click_probabilities(dist: PhotonDistribution) -> ClickDistributi
     return ClickDistribution(probs=probs, defect=dist.tail_mass)
 
 
+# Coincidence weights of the click estimators.  With G_j the probability
+# of exactly j clicks and <n> = sum_j j G_j, entry k - 2 lists the pairs
+# (j, w_kj) of the nonzero weights in
+#
+#     g2 = sum_j w_2j G_j / (3 <n>^2),  g3 = sum_j w_3j G_j / <n>^3,
+#     g4 = sum_j w_4j G_j / <n>^4.
+_COINCIDENCE_WEIGHTS = (
+    ((2, 8.0), (3, 24.0), (4, 48.0)),
+    ((3, 16.0),),
+    ((4, 256.0),),
+)
+
+_NO_SIGNAL = "mean click number is zero; coherence undefined"
+
+
+def _coincidence_ratios(probs, n) -> tuple:
+    """g2, g3 and g4 of the click distribution ``probs`` (5 entries, or
+    5 x K with one distribution per column) with mean click number ``n``
+    (a number, or K of them), from ``_COINCIDENCE_WEIGHTS``."""
+    numerators = []
+    for weights in _COINCIDENCE_WEIGHTS:
+        total = 0.0
+        for j, w in weights:
+            total = total + w * probs[j]
+        numerators.append(total)
+    g2, g3, g4 = numerators
+    return g2 / (3.0 * n * n), g3 / n**3, g4 / n**4
+
+
 def coherence_from_clicks(clicks: ClickDistribution) -> CoherenceTriple:
-    """Click-based coherence estimators.
+    """Click-based coherence estimators, from the coincidence weights in
+    ``_COINCIDENCE_WEIGHTS``.
 
     With G_i the probability of exactly i clicks and <n> = sum i*G_i:
 
@@ -260,13 +291,10 @@ def coherence_from_clicks(clicks: ClickDistribution) -> CoherenceTriple:
     at strong fields, where g3 falls towards 0 as nearly every window
     fires all four detectors.
     """
-    g = clicks.probs
     n = clicks.mean_clicks
     if n <= 0.0:
-        raise NoSignalError("mean click number is zero; coherence undefined")
-    g2 = (8.0 * g[2] + 24.0 * g[3] + 48.0 * g[4]) / (3.0 * n * n)
-    g3 = 16.0 * g[3] / n**3
-    g4 = 256.0 * g[4] / n**4
+        raise NoSignalError(_NO_SIGNAL)
+    g2, g3, g4 = _coincidence_ratios(clicks.probs, n)
     return CoherenceTriple(g2=g2, g3=g3, g4=g4, mean_clicks=n)
 
 

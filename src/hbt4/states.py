@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,14 @@ class StateParams:
     alpha: float
 
     def __post_init__(self):
+        # Python floats throughout: numpy scalars would run the recurrence
+        # in numpy arithmetic, slower and rounded differently.
+        for name in ("r", "theta", "alpha"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                if not isinstance(value, numbers.Real):
+                    raise InvalidParameterError(name, f"must be a real number, got {value!r}")
+                object.__setattr__(self, name, float(value))
         if not math.isfinite(self.r) or self.r < 0.0:
             raise InvalidParameterError("r", f"must be finite and >= 0, got {self.r}")
         if not math.isfinite(self.theta):

@@ -5,11 +5,17 @@ detection-plus-click chain ("click") over 1- or 2-axis grids, emitting
 rows in row-major axis order.  Per-point failures (vacuum input, zero
 signal) are recorded in the row diagnostics and never abort a sweep.
 
-A click point is the photon-number distribution times the cached 5 x N
-click operator of its detector (``clicks.detected_clicks``), one
-matrix-vector product; sweeps and extremum searches at a fixed
-(eta, gamma) share one operator.  The per-distribution chain,
-``clicks.click_coherence(apply_detection(...))``, is its reference.
+A single click point (``evaluate_point``) is its photon-number
+distribution times the cached 5 x N click operator of its detector
+(``clicks.detected_clicks``), one matrix-vector product.  A grid of states
+at one detector is evaluated at once: their distributions are packed as
+the columns of one zero-padded N x K matrix, which takes one product with
+the operator, and the coincidence ratios of all K columns follow from the
+weight table that ``clicks.coherence_from_clicks`` uses.  Click sweeps
+group their points by detector this way, and so do the coarse grids of
+extremum searches over r, theta or alpha and of every minimized-map cell.
+The per-distribution chain, ``clicks.click_coherence(apply_detection(...))``,
+is the reference of both.
 
 Extremum searches run a coarse grid (log-spaced for amplitude-like
 parameters) followed by golden-section refinement inside the bracket
@@ -21,6 +27,7 @@ every order is refined from those values inside the cell.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections.abc import Callable, Sequence
@@ -28,7 +35,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clicks import CoherenceTriple, _click_operator, coherence_from_clicks, detected_clicks
+from .clicks import (
+    _NO_SIGNAL,
+    N_DETECTORS,
+    CoherenceTriple,
+    _click_operator,
+    _coincidence_ratios,
+    coherence_from_clicks,
+    detected_clicks,
+)
 from .coherence import ideal_coherence
 from .detection import DetectionParams
 from .errors import Hbt4Error, InvalidParameterError, NoSignalError, UndefinedCoherenceError
@@ -36,6 +51,7 @@ from .states import StateParams, squeezed_distribution
 
 PIPELINES = ("ideal", "click")
 PARAMETERS = ("r", "theta", "alpha", "eta", "gamma")
+_STATE_PARAMETERS = ("r", "theta", "alpha")
 
 # Parameters scanned on a logarithmic grid by default: dips and peaks sit
 # at small amplitudes and noise spans decades.
@@ -135,7 +151,7 @@ def squeezing_db(r: float) -> float:
 def _with_parameter(
     state: StateParams, detection: DetectionParams, name: str, value: float
 ) -> tuple[StateParams, DetectionParams]:
-    if name in ("r", "theta", "alpha"):
+    if name in _STATE_PARAMETERS:
         return replace(state, **{name: value}), detection
     return state, replace(detection, **{name: value})
 
@@ -156,41 +172,89 @@ def evaluate_point(
     return coherence_from_clicks(detected_clicks(squeezed_distribution(state, tol), detection))
 
 
+def _packed_distributions(states: Sequence[StateParams], tol: float = 1e-12) -> np.ndarray:
+    """The photon-number distributions of ``states`` as the columns of one
+    zero-padded N x K matrix, N the widest support."""
+    dists = [squeezed_distribution(s, tol) for s in states]
+    packed = np.zeros((len(dists), max(len(dist) for dist in dists)))
+    for row, dist in zip(packed, dists):
+        row[: len(dist)] = dist.probs
+    return packed.T
+
+
+_CLICK_NUMBERS = np.arange(N_DETECTORS + 1.0)
+
+# Sweeps pack at most this many states into one matrix, which with the
+# distributions behind it stays below about 17 MB at the support cap.
+_GRID_COLUMNS = 256
+
+
+def _click_grid(packed: np.ndarray, detection: DetectionParams) -> list[CoherenceTriple | None]:
+    """Click-chain coherence of every column of ``packed`` at ``detection``:
+    one product with the click operator at the full width, then the
+    coincidence ratios of all columns at once.  None where the mean click
+    number is zero, where ``evaluate_point`` raises NoSignalError."""
+    op, _ = _click_operator(detection.eta, detection.gamma, packed.shape[0])
+    probs = np.maximum(op @ packed, 0.0)
+    mean = _CLICK_NUMBERS @ probs
+    signal = mean > 0.0
+    # Columns without signal get <n> = 1, so no division warns; they
+    # are dropped below.
+    ratios = _coincidence_ratios(probs, np.where(signal, mean, 1.0))
+    columns = zip(signal.tolist(), *(g.tolist() for g in ratios), mean.tolist())
+    return [CoherenceTriple(g2, g3, g4, n) if ok else None for ok, g2, g3, g4, n in columns]
+
+
+def _sweep_row(values: tuple[float, ...], result: CoherenceTriple | str, spec: SweepSpec) -> SweepRow:
+    """The row of one grid point: its triple, or NaN and the diagnostics
+    message when the coherence is undefined there."""
+    if isinstance(result, str):
+        nan = math.nan
+        return SweepRow(values, nan, nan, nan, nan, spec.pipeline, diagnostics=result)
+    return SweepRow(
+        axis_values=values,
+        g2=result.g2 if 2 in spec.orders else math.nan,
+        g3=result.g3 if 3 in spec.orders else math.nan,
+        g4=result.g4 if 4 in spec.orders else math.nan,
+        mean=result.mean_clicks,
+        pipeline=spec.pipeline,
+    )
+
+
 def sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the pipeline over the grid; rows in row-major axis order."""
-    grids = [axis.grid() for axis in spec.axes]
-    rows: list[SweepRow] = []
-    if len(grids) == 1:
-        points = [(v,) for v in grids[0]]
-    else:
-        points = [(a, b) for a in grids[0] for b in grids[1]]
+    """Evaluate the pipeline over the grid; rows in row-major axis order.
+
+    Click points are evaluated by detector: the states that share one
+    (eta, gamma) take one ``_click_grid`` product per ``_GRID_COLUMNS``.
+    """
+    points = list(itertools.product(*(axis.grid().tolist() for axis in spec.axes)))
+    params = []
     for values in points:
         state, detection = spec.state, spec.detection
         for axis, value in zip(spec.axes, values):
-            state, detection = _with_parameter(state, detection, axis.name, float(value))
-        try:
-            triple = evaluate_point(state, detection, spec.pipeline, spec.tol)
-            row = SweepRow(
-                axis_values=tuple(float(v) for v in values),
-                g2=triple.g2 if 2 in spec.orders else math.nan,
-                g3=triple.g3 if 3 in spec.orders else math.nan,
-                g4=triple.g4 if 4 in spec.orders else math.nan,
-                mean=triple.mean_clicks,
-                pipeline=spec.pipeline,
-            )
-        except (UndefinedCoherenceError, NoSignalError) as exc:
-            row = SweepRow(
-                axis_values=tuple(float(v) for v in values),
-                g2=math.nan,
-                g3=math.nan,
-                g4=math.nan,
-                mean=math.nan,
-                pipeline=spec.pipeline,
-                diagnostics=str(exc),
-            )
-        rows.append(row)
+            state, detection = _with_parameter(state, detection, axis.name, value)
+        params.append((state, detection))
+    results: list[CoherenceTriple | str | None] = []
+    if spec.pipeline == "click":
+        by_detector: dict[DetectionParams, list[int]] = {}
+        for i, (_, detection) in enumerate(params):
+            by_detector.setdefault(detection, []).append(i)
+        results = [None] * len(params)
+        for detection, indices in by_detector.items():
+            for start in range(0, len(indices), _GRID_COLUMNS):
+                chunk = indices[start : start + _GRID_COLUMNS]
+                packed = _packed_distributions([params[i][0] for i in chunk], spec.tol)
+                for i, triple in zip(chunk, _click_grid(packed, detection)):
+                    results[i] = triple or _NO_SIGNAL
+    else:
+        for state, _ in params:
+            try:
+                results.append(ideal_coherence(state))
+            except (UndefinedCoherenceError, NoSignalError) as exc:
+                results.append(str(exc))
     return SweepTable(
-        axis_names=tuple(axis.name for axis in spec.axes), rows=tuple(rows)
+        axis_names=tuple(axis.name for axis in spec.axes),
+        rows=tuple(_sweep_row(values, result, spec) for values, result in zip(points, results)),
     )
 
 
@@ -311,12 +375,19 @@ def find_extremum(
     detection = detection or DetectionParams()
     sign = 1.0 if mode == "min" else -1.0
 
-    def objective(value: float) -> float:
-        s, d = _with_parameter(state, detection, parameter, value)
-        triple = _coherence_or_none(evaluate_point, s, d, pipeline, tol)
+    def score(triple: CoherenceTriple | None) -> float:
         return math.inf if triple is None else sign * _order_value(triple, order)
 
-    values = np.array([objective(v) for v in grid])
+    def objective(value: float) -> float:
+        s, d = _with_parameter(state, detection, parameter, value)
+        return score(_coherence_or_none(evaluate_point, s, d, pipeline, tol))
+
+    if pipeline == "click" and parameter in _STATE_PARAMETERS:
+        states = [replace(state, **{parameter: v}) for v in grid.tolist()]
+        triples = _click_grid(_packed_distributions(states, tol), detection)
+        values = np.array([score(t) for t in triples])
+    else:
+        values = np.array([objective(v) for v in grid.tolist()])
     location, value, width, boundary = _golden_section(
         objective, grid, values, log_scale, bracket_tol
     )
@@ -353,9 +424,9 @@ def minimized_maps(
     per order.
 
     The coarse amplitude states depend only on (r, theta, alpha), so they
-    are built once per map.  Every cell fetches its click operator once, at
-    the largest coarse support, evaluates all coarse states against it and
-    refines each order from those values.  The minimizing alpha is recorded
+    are built once per map and packed into one matrix.  Every cell takes one
+    product of that matrix with its click operator and refines each order
+    from those values.  The minimizing alpha is recorded
     in the row diagnostics; the row's mean is taken from the refinement
     point there, or evaluated once when the minimum is a coarse sample.
     """
@@ -365,10 +436,9 @@ def minimized_maps(
     if pipeline not in PIPELINES:
         raise InvalidParameterError("pipeline", f"must be one of {PIPELINES}")
     grid, _ = _coarse_grid("alpha", alpha_bounds, coarse_points)
-    coarse = [replace(state, alpha=alpha) for alpha in grid]
+    coarse = [replace(state, alpha=alpha) for alpha in grid.tolist()]
     if pipeline == "click":
-        dists = [squeezed_distribution(s) for s in coarse]
-        width = max(len(dist) for dist in dists)
+        packed = _packed_distributions(coarse)
     else:
         triples = [_coherence_or_none(ideal_coherence, s) for s in coarse]
     rows: dict[int, list[SweepRow]] = {order: [] for order in orders}
@@ -378,11 +448,7 @@ def minimized_maps(
             if pipeline == "click":
                 # Fetched at the widest coarse support first, the kept
                 # operator serves every coarse and refinement state.
-                _click_operator(detection.eta, detection.gamma, width)
-                triples = [
-                    _coherence_or_none(coherence_from_clicks, detected_clicks(dist, detection))
-                    for dist in dists
-                ]
+                triples = _click_grid(packed, detection)
             refined: dict[float, CoherenceTriple | None] = {}
 
             def triple_at(alpha: float) -> CoherenceTriple | None:
@@ -401,8 +467,8 @@ def minimized_maps(
                     [math.inf if t is None else _order_value(t, order) for t in triples]
                 )
                 location, value, _, _ = _golden_section(objective, grid, values, True, _BRACKET_TOL)
-                # Coarse states were built from the grid's numpy amplitudes,
-                # which round differently from the reported float.
+                # A minimum on a coarse sample takes its mean from the
+                # one-state product, as at the refinement points.
                 at_min = refined.get(location) or evaluate_point(
                     replace(state, alpha=location), detection, pipeline
                 )

@@ -172,6 +172,31 @@ class TestSqueezedDistribution:
         assert len(d) >= n_mass + 1 + 16
 
 
+class TestStateParams:
+    @pytest.mark.parametrize("r, theta", [(5e-4, 0.0), (0.3, 0.7), (1.0, math.pi)])
+    def test_numpy_scalars_build_the_float_distribution(self, r, theta):
+        # Grids hand numpy scalars to StateParams; the recurrence must run
+        # in Python floats all the same, so p_n agree bit for bit.
+        for alpha in np.geomspace(1e-3, 1.0, 12):
+            from_numpy = squeezed_distribution(StateParams(np.float64(r), np.float64(theta), alpha))
+            from_float = squeezed_distribution(StateParams(r, theta, float(alpha)))
+            assert from_numpy.probs.tobytes() == from_float.probs.tobytes()
+            assert from_numpy.tail_mass == from_float.tail_mass
+
+    def test_fields_are_python_floats(self):
+        state = StateParams(r=np.float64(0.1), theta=np.int64(1), alpha=2)
+        assert [type(v) for v in (state.r, state.theta, state.alpha)] == [float] * 3
+
+    @pytest.mark.parametrize("field", ["r", "theta", "alpha"])
+    @pytest.mark.parametrize("value", [1j, "0.5", None, [0.5]])
+    def test_rejects_values_that_are_not_real_numbers(self, field, value):
+        values = dict(r=0.1, theta=0.0, alpha=0.5)
+        values[field] = value
+        with pytest.raises(InvalidParameterError) as excinfo:
+            StateParams(**values)
+        assert excinfo.value.field == field
+
+
 class TestPhotonDistribution:
     def test_rejects_negative_entries(self):
         with pytest.raises(InvalidParameterError):

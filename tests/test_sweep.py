@@ -8,6 +8,7 @@ import pytest
 from hbt4 import (
     DetectionParams,
     InvalidParameterError,
+    NoSignalError,
     StateParams,
     SweepAxis,
     SweepSpec,
@@ -136,6 +137,136 @@ class TestSweep:
             SweepAxis("alpha", 0.0, 1.0, 5, "log")
         with pytest.raises(InvalidParameterError):
             SweepSpec(axes=(), state=StateParams(r=0.0, theta=0.0, alpha=1.0))
+
+
+def assert_rows_match_points(spec):
+    """Every row of ``sweep(spec)`` within 1e-12 relative of
+    ``evaluate_point`` at its parameters, and every row without signal
+    carrying the exact NoSignalError message."""
+    table = sweep(spec)
+    assert len(table.rows) == math.prod(axis.points for axis in spec.axes)
+    for row in table.rows:
+        state, detection = spec.state, spec.detection
+        for axis, value in zip(spec.axes, row.axis_values):
+            if axis.name in ("r", "theta", "alpha"):
+                state = replace(state, **{axis.name: value})
+            else:
+                detection = replace(detection, **{axis.name: value})
+        try:
+            point = evaluate_point(state, detection, spec.pipeline, spec.tol)
+        except NoSignalError as exc:
+            assert row.diagnostics == str(exc)
+            assert all(math.isnan(v) for v in (row.g2, row.g3, row.g4, row.mean))
+            continue
+        assert row.diagnostics == ""
+        want = (point.g2, point.g3, point.g4, point.mean_clicks)
+        for got, expected in zip((row.g2, row.g3, row.g4, row.mean), want):
+            assert abs(got - expected) <= 1e-12 * abs(expected)
+    return table
+
+
+FEASIBLE = DetectionParams(eta=0.5, gamma=1e-5)
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            SweepAxis("alpha", 1e-3, 3.0, 41, "log"),
+            SweepAxis("r", 1e-4, 1.0, 41, "log"),
+            SweepAxis("theta", 0.0, 2.0 * math.pi, 41),
+            # More states than one packed matrix takes.
+            SweepAxis("theta", 0.0, 2.0 * math.pi, sweep_module._GRID_COLUMNS + 44),
+        ],
+        ids=lambda axis: f"{axis.name}-{axis.points}",
+    )
+    def test_one_axis_click_sweeps_match_points(self, axis):
+        state = StateParams(r=0.05, theta=0.4, alpha=0.3)
+        assert_rows_match_points(SweepSpec((axis,), state, FEASIBLE, pipeline="click"))
+
+    def test_alpha_by_eta_sweep_matches_points(self, monkeypatch):
+        grids = []
+        click_grid = sweep_module._click_grid
+
+        def counted(packed, detection):
+            grids.append(detection)
+            return click_grid(packed, detection)
+
+        monkeypatch.setattr(sweep_module, "_click_grid", counted)
+        spec = SweepSpec(
+            (SweepAxis("alpha", 1e-3, 1.0, 13, "log"), SweepAxis("eta", 0.1, 1.0, 4)),
+            StateParams(r=0.01, theta=0.0, alpha=0.0),
+            DetectionParams(gamma=1e-4),
+            pipeline="click",
+        )
+        assert_rows_match_points(spec)
+        # One packed product per detector.
+        assert len(grids) == len(set(grids)) == 4
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (SweepAxis("alpha", 1e-3, 1.0, 9, "log"),),
+            (SweepAxis("eta", 0.0, 1.0, 5), SweepAxis("alpha", 0.0, 0.5, 3)),
+        ],
+        ids=["alpha", "eta-by-alpha"],
+    )
+    def test_rows_without_signal_keep_the_point_diagnostics(self, axes):
+        spec = SweepSpec(
+            axes,
+            StateParams(r=0.0, theta=0.0, alpha=0.3),
+            DetectionParams(eta=0.0, gamma=0.0),
+            pipeline="click",
+        )
+        table = assert_rows_match_points(spec)
+        silent = [row for row in table.rows if row.diagnostics]
+        assert len(silent) == (9 if len(axes) == 1 else 3 + 4)
+
+    def test_click_sweeps_and_coarse_grids_skip_the_point_path(self, monkeypatch):
+        calls = []
+        point = sweep_module.evaluate_point
+
+        def counted(*args):
+            calls.append(args)
+            return point(*args)
+
+        monkeypatch.setattr(sweep_module, "evaluate_point", counted)
+        spec = SweepSpec(
+            (SweepAxis("theta", 0.0, math.pi, 30),), WEAK_DIP, FEASIBLE, pipeline="click"
+        )
+        sweep(spec)
+        assert calls == []
+        find_extremum(2, "alpha", (1e-3, 1.0), WEAK_DIP, FEASIBLE, pipeline="click")
+        # Golden-section refinement only: the 200 coarse samples take one product.
+        assert 10 < len(calls) < 40
+
+    @pytest.mark.parametrize("parameter, bounds", [
+        ("alpha", (1e-3, 1.0)), ("r", (1e-4, 0.5)), ("theta", (0.0, 2.0 * math.pi)),
+    ])
+    @pytest.mark.parametrize("order, mode", [(2, "min"), (3, "min"), (4, "max")])
+    def test_extremum_matches_one_point_per_coarse_sample(self, parameter, bounds, order, mode):
+        state = StateParams(r=0.002, theta=0.3, alpha=0.05)
+        result = find_extremum(
+            order, parameter, bounds, state, FEASIBLE, mode=mode, pipeline="click", coarse_points=80
+        )
+        # The search with every coarse sample evaluated as its own point.
+        grid, log_scale = sweep_module._coarse_grid(parameter, bounds, 80)
+        sign = 1.0 if mode == "min" else -1.0
+
+        def objective(value):
+            triple = evaluate_point(replace(state, **{parameter: value}), FEASIBLE, "click")
+            return sign * (triple.g2, triple.g3, triple.g4)[order - 2]
+
+        values = np.array([objective(v) for v in grid.tolist()])
+        location, value, width, boundary = sweep_module._golden_section(
+            objective, grid, values, log_scale, sweep_module._BRACKET_TOL
+        )
+        assert result.boundary == boundary
+        assert abs(result.location - location) <= 1e-12 * abs(location)
+        assert abs(result.value - sign * value) <= 1e-12 * abs(value)
+
+
+WEAK_DIP = StateParams(r=0.001, theta=0.0, alpha=0.0)
 
 
 class TestFindExtremum:
