@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,6 +258,20 @@ _COINCIDENCE_WEIGHTS = (
 )
 
 _NO_SIGNAL = "mean click number is zero; coherence undefined"
+_UNRESOLVED = "mean click number too small to resolve g4 (<n>^4 underflows); coherence undefined"
+
+
+def _no_signal(n: float) -> str | None:
+    """The NoSignalError message for mean click number ``n``, or None where
+    the coherence is defined.  Zero has no signal at all.  Below
+    <n>^4 = sys.float_info.min, G_4 (about <n>^4 / 256 for a weak field)
+    is deep in the subnormal range, so g4 would lose its digits to
+    underflow, read 0 and, once <n>^4 itself underflows, NaN."""
+    if n <= 0.0:
+        return _NO_SIGNAL
+    if n**4 < sys.float_info.min:
+        return _UNRESOLVED
+    return None
 
 
 def _coincidence_ratios(probs, n) -> tuple:
@@ -289,11 +304,12 @@ def coherence_from_clicks(clicks: ClickDistribution) -> CoherenceTriple:
     the grouping average would be 16 (G_3 + 4 G_4) / <n>^3.  The two agree
     in the weak-field limit, where G_4 is negligible next to G_3, but not
     at strong fields, where g3 falls towards 0 as nearly every window
-    fires all four detectors.
+    fires all four detectors.  NoSignalError when <n> is zero or so small
+    that <n>^4 is below the smallest normal float (``_no_signal``).
     """
     n = clicks.mean_clicks
-    if n <= 0.0:
-        raise NoSignalError(_NO_SIGNAL)
+    if reason := _no_signal(n):
+        raise NoSignalError(reason)
     g2, g3, g4 = _coincidence_ratios(clicks.probs, n)
     return CoherenceTriple(g2=g2, g3=g3, g4=g4, mean_clicks=n)
 

@@ -4,6 +4,13 @@ The squeezed-state distribution oscillates with photon number and involves
 Hermite polynomials of a complex argument.  Evaluating it naively overflows
 for moderate photon numbers, so it is built by one scaled three-term
 recurrence with a running log-scale.  The coherent state is its r = 0 case.
+
+A single state is built by that recurrence in Python complex arithmetic
+(``squeezed_distribution``).  A grid of states is built as the columns of
+one zero-padded matrix (``packed_distributions``): the same recurrence runs
+for all columns at once, one numpy step per photon number, rounding exactly
+as the scalar one, so every column equals its single-state build bit for
+bit.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import cmath
 import itertools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +114,14 @@ def fock_distribution(n: int) -> PhotonDistribution:
     return PhotonDistribution(probs=probs, tail_mass=0.0)
 
 
-def _scaled_hermite(y: complex, t: float, log_scale: float = 0.0):
+def _scaled_hermite(
+    y: complex,
+    t: float,
+    log_scale: float = 0.0,
+    w_prev: complex = 0j,
+    w: complex = 1.0 + 0j,
+    n: int = 0,
+):
     """Yield u_n * exp(log_scale) for n = 0, 1, 2, ..., where
     u_n = H_n(x) t^(n/2) / sqrt(n!) and y = sqrt(t) x, from
 
@@ -114,11 +129,12 @@ def _scaled_hermite(y: complex, t: float, log_scale: float = 0.0):
 
     which stays regular as t -> 0.  The iterates carry a running log-scale:
     when one passes _RESCALE_AT, both are divided by it, so none overflows.
+    A recurrence stopped before entry ``n`` resumes from its iterates
+    ``w_prev`` and ``w`` and its ``log_scale``, yielding entry n first.
     """
     y2, t2 = 2.0 * y, 2.0 * t
     scale = math.exp(log_scale)
-    w_prev, w = 0j, 1.0 + 0j
-    sqrt_n, n = 0.0, 0
+    sqrt_n = math.sqrt(n)
     while True:
         yield w * scale
         n += 1
@@ -161,6 +177,57 @@ def coherent_distribution(alpha: float, tol: float = _DEFAULT_TOL) -> PhotonDist
     return squeezed_distribution(StateParams(r=0.0, theta=0.0, alpha=alpha), tol)
 
 
+def _check_tol(tol: float) -> None:
+    if not (0.0 < tol <= 1e-6):
+        raise InvalidParameterError("tol", f"must lie in (0, 1e-6], got {tol}")
+
+
+def _recurrence_start(params: StateParams) -> tuple[complex, float, float]:
+    """y, t and the initial log-scale of the recurrence of ``params`` (see
+    ``squeezed_distribution``)."""
+    r, theta, alpha = params.r, params.theta, params.alpha
+    y = alpha * cmath.exp(-0.5j * theta) / (2.0 * math.cosh(r))
+    t = math.tanh(r) / 2.0
+    log_pref = -alpha * alpha + alpha * alpha * math.cos(theta) * math.tanh(r) - math.log(math.cosh(r))
+    return y, t, 0.5 * log_pref
+
+
+def _kept_length(count: int) -> int:
+    """Entries kept when the first ``count`` entries leave a tail below tol."""
+    return min(max(2 * count, count + _SUPPORT_MARGIN), N_HARD_MAX + 1)
+
+
+def _truncation_error(params: StateParams, tol: float) -> TruncationError:
+    return TruncationError(
+        f"squeezed state (r={params.r:g}, theta={params.theta:g}, alpha={params.alpha:g}) does not "
+        f"reach tail < {tol:g} within {N_HARD_MAX} photon numbers"
+    )
+
+
+def _squared_moduli(
+    terms, params: StateParams, tol: float, n: int = 0, mass: float = 0.0, n_keep: int = 0
+) -> list[float]:
+    """p = |u|^2 of the recurrence ``terms`` from entry ``n`` on, the first
+    ``n`` entries summing to ``mass``, up to the kept length: ``n_keep``, or
+    when that is 0, ``_kept_length`` of the first entry count whose tail is
+    below ``tol``.  Each p is h * h with h = |u|, rounded as in
+    ``packed_distributions``."""
+    probs: list[float] = []
+    if not n_keep:
+        for u in itertools.islice(terms, N_HARD_MAX + 1 - n):
+            h = abs(u)
+            p = h * h
+            probs.append(p)
+            mass += p
+            if 1.0 - mass < tol:
+                break
+        else:
+            raise _truncation_error(params, tol)
+        n_keep = _kept_length(n + len(probs))
+    probs += [h * h for h in map(abs, itertools.islice(terms, n_keep - n - len(probs)))]
+    return probs
+
+
 def squeezed_distribution(params: StateParams, tol: float = _DEFAULT_TOL) -> PhotonDistribution:
     """Photon-number distribution of the displaced squeezed state (Yuen,
     PRA 13, 2226 (1976)).
@@ -176,27 +243,109 @@ def squeezed_distribution(params: StateParams, tol: float = _DEFAULT_TOL) -> Pho
     entries, at most N_HARD_MAX + 1.  TruncationError when the tail is
     still above ``tol`` at N_HARD_MAX.
     """
-    if not (0.0 < tol <= 1e-6):
-        raise InvalidParameterError("tol", f"must lie in (0, 1e-6], got {tol}")
-    r, theta, alpha = params.r, params.theta, params.alpha
-    y = alpha * cmath.exp(-0.5j * theta) / (2.0 * math.cosh(r))
-    t = math.tanh(r) / 2.0
-    log_pref = -alpha * alpha + alpha * alpha * math.cos(theta) * math.tanh(r) - math.log(math.cosh(r))
-    terms = _scaled_hermite(y, t, 0.5 * log_pref)
-    probs: list[float] = []
-    mass = 0.0
-    for u in itertools.islice(terms, N_HARD_MAX + 1):
-        p = abs(u) ** 2
-        probs.append(p)
-        mass += p
-        if 1.0 - mass < tol:
-            break
-    else:
-        raise TruncationError(
-            f"squeezed state (r={r:g}, theta={theta:g}, alpha={alpha:g}) does not "
-            f"reach tail < {tol:g} within {N_HARD_MAX} photon numbers"
-        )
-    n_keep = min(max(2 * len(probs), len(probs) + _SUPPORT_MARGIN), N_HARD_MAX + 1)
-    probs += [abs(u) ** 2 for u in itertools.islice(terms, n_keep - len(probs))]
-    kept = np.array(probs)
+    _check_tol(tol)
+    y, t, log_scale = _recurrence_start(params)
+    kept = np.array(_squared_moduli(_scaled_hermite(y, t, log_scale), params, tol))
     return PhotonDistribution(probs=kept, tail_mass=max(0.0, 1.0 - float(kept.sum())))
+
+
+# Below this many unfinished columns ``packed_distributions`` hands each one
+# to the scalar recurrence: one vectorized step costs about as much as this
+# many scalar steps.
+_HANDOFF_COLUMNS = 32
+
+# Kept length of a column whose tail has not yet fallen below tol.
+_UNKNOWN = N_HARD_MAX + 2
+
+
+def packed_distributions(states: Sequence[StateParams], tol: float = _DEFAULT_TOL) -> np.ndarray:
+    """The photon-number distributions of ``states`` as the columns of one
+    zero-padded N x K matrix, N the widest support: column k is
+    ``squeezed_distribution(states[k], tol).probs`` bit for bit, then zeros.
+
+    The recurrence of ``squeezed_distribution`` runs for all unfinished
+    columns at once, one numpy step per photon number, in real float64
+    arithmetic that rounds exactly as Python's complex arithmetic does in
+    ``_scaled_hermite``; each column keeps its own log-scale.  A column
+    leaves the batch at its kept length, and once fewer than
+    ``_HANDOFF_COLUMNS`` are left, each finishes in ``_scaled_hermite`` from
+    its current iterates.  TruncationError, with the message of
+    ``squeezed_distribution``, names the first state that does not converge.
+    """
+    _check_tol(tol)
+    states = list(states)
+    if not states:
+        raise InvalidParameterError("states", "need at least one state")
+    starts = [_recurrence_start(s) for s in states]
+    k = len(starts)
+    y2r = 2.0 * np.array([y.real for y, _, _ in starts])
+    y2i = 2.0 * np.array([y.imag for y, _, _ in starts])
+    # Complex products as real rows: with w = (wr, wi) and w[::-1] = (wi, wr),
+    # 2y w = y2r * w + (-y2i, y2i) * w[::-1], rounded as Python rounds it.
+    y2_cross = np.stack([-y2i, y2i])
+    t2 = 2.0 * np.array([t for _, t, _ in starts])
+    log_scale = np.array([ls for _, _, ls in starts])
+    scale = np.array([math.exp(ls) for _, _, ls in starts])
+    # The live columns, their iterates w and w_prev as (real, imag) rows,
+    # running mass, tol (-inf once met) and kept length.
+    cols = np.arange(k)
+    w, w_prev = np.zeros((2, k)), np.zeros((2, k))
+    w[0] = 1.0
+    mass, tols, n_keep = np.zeros(k), np.full(k, tol), np.full(k, _UNKNOWN)
+    next_done, unmet = _UNKNOWN, k
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    n, sqrt_n = 0, 0.0
+    hypot, count = np.hypot, np.count_nonzero
+    while cols.size >= _HANDOFF_COLUMNS:
+        u = w * scale
+        h = hypot(u[0], u[1])
+        p = h * h
+        rows.append((cols, p))
+        n += 1
+        if unmet:
+            mass += p
+            met = 1.0 - mass < tols
+            if newly := count(met):
+                unmet -= newly
+                n_keep[met] = _kept_length(n)
+                tols[met] = -math.inf
+                next_done = min(next_done, _kept_length(n))
+            if n == N_HARD_MAX + 1 and unmet:
+                raise _truncation_error(states[cols[n_keep == _UNKNOWN][0]], tol)
+        if n == next_done:
+            live = n_keep != n
+            cols, mass, tols, n_keep = cols[live], mass[live], tols[live], n_keep[live]
+            y2r, y2_cross, t2 = y2r[live], y2_cross[:, live], t2[live]
+            log_scale, scale = log_scale[live], scale[live]
+            w, w_prev = w[:, live], w_prev[:, live]
+            if not cols.size:
+                break
+            next_done = int(n_keep.min())
+        # One step of _scaled_hermite: w_prev, w = w, (2y w - 2t sqrt(n-1) w_prev) / sqrt(n).
+        sqrt_next = math.sqrt(n)
+        w, w_prev = (y2r * w + y2_cross * w[::-1] - (t2 * sqrt_n) * w_prev) / sqrt_next, w
+        sqrt_n = sqrt_next
+        big = hypot(w[0], w[1]) > _RESCALE_AT
+        if count(big):
+            w[:, big] /= _RESCALE_AT
+            w_prev[:, big] /= _RESCALE_AT
+            for j in np.flatnonzero(big).tolist():
+                log_scale[j] += _LOG_RESCALE_AT
+                scale[j] = math.exp(log_scale[j])
+    width = len(rows)
+    tails = []
+    for j, col in enumerate(cols.tolist()):
+        y, t, _ = starts[col]
+        terms = _scaled_hermite(
+            y, t, float(log_scale[j]), complex(*w_prev[:, j]), complex(*w[:, j]), n
+        )
+        known = int(n_keep[j]) if n_keep[j] != _UNKNOWN else 0
+        tail = np.array(_squared_moduli(terms, states[col], tol, n, float(mass[j]), known))
+        tails.append((col, tail))
+        width = max(width, n + tail.size)
+    packed = np.zeros((k, width))
+    for i, (at, p) in enumerate(rows):
+        packed[at, i] = p
+    for col, tail in tails:
+        packed[col, n : n + tail.size] = tail
+    return packed.T

@@ -16,6 +16,7 @@ from hbt4 import (
     click_probabilities,
     coherence_from_clicks,
     coherent_distribution,
+    evaluate_point,
     fock_distribution,
     multinomial_click_probabilities,
     noise_convolve,
@@ -109,6 +110,20 @@ class TestCoherenceFromClicks:
     def test_vacuum_raises_no_signal(self):
         with pytest.raises(NoSignalError):
             click_coherence(fock_distribution(0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_weak_fields_resolve_g4_or_raise_no_signal(self):
+        # <n> = alpha^2 / 2: <n>^4 is 6e-306 at alpha = 1e-38, a normal
+        # float; at 1e-40 G_4 is subnormal, at 1e-45 <n>^4 underflows to 0.
+        detection = DetectionParams(eta=0.5, gamma=0.0)
+        triple = evaluate_point(StateParams(r=0.0, theta=0.0, alpha=1e-38), detection, "click")
+        assert triple.g4 == pytest.approx(1.0, rel=1e-12)
+        for alpha in (1e-40, 1e-45):
+            state = StateParams(r=0.0, theta=0.0, alpha=alpha)
+            with pytest.raises(NoSignalError, match="too small"):
+                evaluate_point(state, detection, "click")
+        with pytest.raises(NoSignalError, match="^mean click number is zero; coherence undefined$"):
+            evaluate_point(StateParams(r=0.0, theta=0.0, alpha=0.0), detection, "click")
 
     def test_feasible_chain_second_order(self):
         # Full chain at the weak-squeezing anti-bunching point

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from hbt4 import (
     ideal_coherence,
     squeezed_distribution,
 )
+from hbt4.states import _HANDOFF_COLUMNS, packed_distributions
+from hbt4.sweep import _GRID_COLUMNS
 
 
 def hermite_direct(n: int, x: complex) -> complex:
@@ -170,6 +173,98 @@ class TestSqueezedDistribution:
         cum = np.cumsum(d.probs)
         n_mass = int(np.nonzero(1.0 - cum < 1e-12)[0][0])
         assert len(d) >= n_mass + 1 + 16
+
+
+def assert_columns_are_scalar_builds(states, tol=1e-12) -> list[int]:
+    """Every column of the grid build is the scalar build bit for bit, then
+    zeros; returns the supports."""
+    packed = packed_distributions(states, tol)
+    dists = [squeezed_distribution(s, tol) for s in states]
+    supports = [len(d) for d in dists]
+    assert packed.shape == (max(supports), len(states))
+    for column, dist in zip(packed.T, dists):
+        assert column[: len(dist)].tobytes() == dist.probs.tobytes()
+        assert not column[len(dist) :].any()
+    return supports
+
+
+VACUUM = StateParams(r=0.0, theta=0.0, alpha=0.0)
+TWO_PI = 2.0 * math.pi
+
+
+class TestPackedDistributions:
+    @pytest.mark.parametrize(
+        "states, supports",
+        [
+            ([StateParams(1e-3, th, 0.032) for th in np.linspace(0.0, TWO_PI, 161)], (20, 21)),
+            # Columns leave the batch at supports from 24 to 188.
+            ([StateParams(r, 0.0, 0.5) for r in np.geomspace(1e-4, 1.0, 161)], (24, 188)),
+            ([StateParams(1.0, th, 1.0) for th in np.linspace(0.0, TWO_PI, 101)], (188, 302)),
+            # The iterates pass 2^128 and are rescaled, in the batch and
+            # after the handoff.
+            ([StateParams(0.3, math.pi, a) for a in np.linspace(10.0, 24.0, 64)], (662, 2754)),
+        ],
+        ids=["weak-theta", "mixed-r", "theta-at-r1", "rescaling-alpha"],
+    )
+    def test_columns_equal_scalar_builds(self, states, supports):
+        found = assert_columns_are_scalar_builds(states)
+        assert (min(found), max(found)) == supports
+
+    def test_vacuum_and_repeated_states(self):
+        repeated, weak = StateParams(0.3, 0.7, 1.0), StateParams(1e-3, 0.0, 0.032)
+        states = [VACUUM] * 3 + [repeated] * 40 + [VACUUM] + [weak] * 20
+        assert_columns_are_scalar_builds(states)
+        assert_columns_are_scalar_builds(states, tol=1e-8)
+
+    def test_grid_smaller_than_the_handoff_count(self):
+        states = [StateParams(0.3, 0.7, a) for a in np.geomspace(1e-3, 3.0, _HANDOFF_COLUMNS - 1)]
+        assert_columns_are_scalar_builds(states)
+        assert_columns_are_scalar_builds([VACUUM])
+
+    def test_a_column_does_not_depend_on_its_batch(self):
+        state = StateParams(0.3, 0.7, 1.0)
+        rng = np.random.default_rng(7)
+        others = [
+            StateParams(r, theta, alpha)
+            for r, theta, alpha in zip(
+                rng.uniform(0.0, 1.0, 255),
+                rng.uniform(0.0, TWO_PI, 255),
+                rng.uniform(0.0, 3.0, 255),
+            )
+        ]
+        alone = packed_distributions([state])[:, 0]
+        among = packed_distributions(others[:100] + [state] + others[100:])[:, 100]
+        assert among[: alone.size].tobytes() == alone.tobytes()
+        assert not among[alone.size :].any()
+
+    @pytest.mark.parametrize("failing", [1, 40], ids=["after-handoff", "in-batch"])
+    def test_non_converging_state_raises_the_scalar_message(self, failing):
+        fine = [StateParams(0.3, 0.7, alpha) for alpha in np.linspace(0.1, 1.0, 40)]
+        bad = [StateParams(5.0, 0.0, alpha) for alpha in np.linspace(0.0, 0.5, failing)]
+        with pytest.raises(TruncationError) as scalar:
+            squeezed_distribution(bad[0])
+        with pytest.raises(TruncationError) as grid:
+            packed_distributions(fine[:20] + bad + fine[20:])
+        assert str(grid.value) == str(scalar.value)
+
+    def test_rejects_empty_grids_and_bad_tolerances(self):
+        with pytest.raises(InvalidParameterError):
+            packed_distributions([])
+        with pytest.raises(InvalidParameterError):
+            packed_distributions([VACUUM], tol=1e-5)
+
+    def test_peak_memory_of_a_full_grid_stays_within_its_bound(self):
+        # The bound stated with sweep._GRID_COLUMNS: 12 MB at supports of
+        # 2014 to 2754.
+        states = [StateParams(0.3, math.pi, a) for a in np.linspace(20.0, 24.0, _GRID_COLUMNS)]
+        tracemalloc.start()
+        try:
+            packed = packed_distributions(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert packed.shape == (2754, _GRID_COLUMNS)
+        assert peak < 12e6
 
 
 class TestStateParams:

@@ -222,6 +222,20 @@ class TestGridEvaluation:
         silent = [row for row in table.rows if row.diagnostics]
         assert len(silent) == (9 if len(axes) == 1 else 3 + 4)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rows_too_weak_to_resolve_keep_the_point_diagnostics(self):
+        spec = SweepSpec(
+            (SweepAxis("alpha", 1e-45, 1e-37, 9, "log"),),
+            StateParams(r=0.0, theta=0.0, alpha=0.0),
+            DetectionParams(eta=0.5, gamma=0.0),
+            pipeline="click",
+        )
+        table = assert_rows_match_points(spec)
+        # alpha = 1e-38 and 1e-37 resolve g4; the rest have <n>^4 below
+        # the smallest normal float.
+        assert [row.g4 == pytest.approx(1.0) for row in table.rows] == [False] * 7 + [True] * 2
+        assert all("too small" in row.diagnostics for row in table.rows[:7])
+
     def test_click_sweeps_and_coarse_grids_skip_the_point_path(self, monkeypatch):
         calls = []
         point = sweep_module.evaluate_point
@@ -446,14 +460,20 @@ class TestMinimizedMaps:
         assert len(builds) == len(set(builds)) == 6
 
     def test_one_coarse_grid_per_map(self, monkeypatch):
+        # Every state built, through the grid builder or the scalar one.
         alphas = []
-        build = sweep_module.squeezed_distribution
+        build, build_grid = sweep_module.squeezed_distribution, sweep_module.packed_distributions
 
         def counted(params, tol=1e-12):
             alphas.append(params.alpha)
             return build(params, tol)
 
+        def counted_grid(states, tol=1e-12):
+            alphas.extend(s.alpha for s in states)
+            return build_grid(states, tol)
+
         monkeypatch.setattr(sweep_module, "squeezed_distribution", counted)
+        monkeypatch.setattr(sweep_module, "packed_distributions", counted_grid)
         tables = minimized_maps((2, 3, 4), GAMMAS, ETAS, WEAK, coarse_points=60)
         grid = set(np.geomspace(1e-3, 1.0, 60).tolist())
         assert sum(alpha in grid for alpha in alphas) == 60
