@@ -246,30 +246,39 @@ def multinomial_click_probabilities(dist: PhotonDistribution) -> ClickDistributi
 
 
 # Coincidence weights of the click estimators.  With G_j the probability
-# of exactly j clicks and <n> = sum_j j G_j, entry k - 2 lists the pairs
-# (j, w_kj) of the nonzero weights in
+# of exactly j clicks and <n> = sum_j j G_j, entry k - 2 holds the divisor
+# d_k and the pairs (j, w_kj) of the nonzero weights in
 #
-#     g2 = sum_j w_2j G_j / (3 <n>^2),  g3 = sum_j w_3j G_j / <n>^3,
-#     g4 = sum_j w_4j G_j / <n>^4.
+#     g_k = sum_j w_kj G_j / (d_k <n>^k):
+#
+# g2 = (8 G_2 + 24 G_3 + 48 G_4) / (3 <n>^2), g3 = 16 G_3 / <n>^3 and
+# g4 = 256 G_4 / <n>^4.
 _COINCIDENCE_WEIGHTS = (
-    ((2, 8.0), (3, 24.0), (4, 48.0)),
-    ((3, 16.0),),
-    ((4, 256.0),),
+    (3.0, ((2, 8.0), (3, 24.0), (4, 48.0))),
+    (1.0, ((3, 16.0),)),
+    (1.0, ((4, 256.0),)),
 )
 
 _NO_SIGNAL = "mean click number is zero; coherence undefined"
 _UNRESOLVED = "mean click number too small to resolve g4 (<n>^4 underflows); coherence undefined"
 
 
+def _unresolved(n: float) -> bool:
+    """Whether a positive mean (click or photon) number ``n`` is too small
+    to resolve g4: below <n>^4 = sys.float_info.min, the fourth-order
+    moment (G_4, about <n>^4 / 256 for a weak field) is deep in the
+    subnormal range, so g4 would lose its digits to underflow, read 0 and,
+    once <n>^4 itself underflows, NaN or a division by zero."""
+    return n**4 < sys.float_info.min
+
+
 def _no_signal(n: float) -> str | None:
     """The NoSignalError message for mean click number ``n``, or None where
-    the coherence is defined.  Zero has no signal at all.  Below
-    <n>^4 = sys.float_info.min, G_4 (about <n>^4 / 256 for a weak field)
-    is deep in the subnormal range, so g4 would lose its digits to
-    underflow, read 0 and, once <n>^4 itself underflows, NaN."""
+    the coherence is defined.  Zero has no signal at all; a positive mean
+    may be too small to resolve (``_unresolved``)."""
     if n <= 0.0:
         return _NO_SIGNAL
-    if n**4 < sys.float_info.min:
+    if _unresolved(n):
         return _UNRESOLVED
     return None
 
@@ -279,13 +288,15 @@ def _coincidence_ratios(probs, n) -> tuple:
     5 x K with one distribution per column) with mean click number ``n``
     (a number, or K of them), from ``_COINCIDENCE_WEIGHTS``."""
     numerators = []
-    for weights in _COINCIDENCE_WEIGHTS:
+    for _, weights in _COINCIDENCE_WEIGHTS:
         total = 0.0
         for j, w in weights:
             total = total + w * probs[j]
         numerators.append(total)
     g2, g3, g4 = numerators
-    return g2 / (3.0 * n * n), g3 / n**3, g4 / n**4
+    # Each denominator is written out so that it rounds as it always has.
+    (d2, _), (d3, _), (d4, _) = _COINCIDENCE_WEIGHTS
+    return g2 / (d2 * n * n), g3 / (d3 * n**3), g4 / (d4 * n**4)
 
 
 def coherence_from_clicks(clicks: ClickDistribution) -> CoherenceTriple:

@@ -29,12 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clicks import CoherenceTriple
+from .clicks import CoherenceTriple, _unresolved
 from .errors import InternalInvariantError, InvalidParameterError, UndefinedCoherenceError
 from .states import PhotonDistribution, StateParams
 
 # Tolerated imaginary residue on quantities that are real by construction.
 _IMAG_TOL = 1e-10
+
+_UNRESOLVED = "mean photon number too small to resolve g4 (<n>^4 underflows); coherence undefined"
+
+
+def _check_resolved(mean: float) -> None:
+    """UndefinedCoherenceError for a positive mean photon number too small
+    to resolve g4, by the click chain's rule (``clicks._unresolved``)."""
+    if _unresolved(mean):
+        raise UndefinedCoherenceError(_UNRESOLVED)
 
 
 @dataclass(frozen=True)
@@ -110,6 +119,7 @@ def ideal_coherence(params: StateParams) -> CoherenceTriple:
     n1, n2, n3, n4 = gaussian_moments(params)
     if n1 <= 0.0:
         raise UndefinedCoherenceError("vacuum input: coherence undefined")
+    _check_resolved(n1)
     return CoherenceTriple(
         g2=n2 / n1**2, g3=n3 / n1**3, g4=n4 / n1**4, mean_clicks=n1
     )
@@ -130,6 +140,7 @@ def fourth_order_variant(params: StateParams) -> float:
     B = inter.b_val
     if A <= 0.0:
         raise UndefinedCoherenceError("vacuum input: coherence undefined")
+    _check_resolved(A)
     C = inter.c_val
     D = inter.d_val
     bracket = (
@@ -169,6 +180,7 @@ def factorial_moments(dist: PhotonDistribution, order_max: int = 4) -> Coherence
     mean = float(n @ p)
     if mean <= 0.0:
         raise UndefinedCoherenceError("zero-mean distribution: coherence undefined")
+    _check_resolved(mean)
     out = [math.nan, math.nan, math.nan]
     weight = n.copy()
     for order in range(2, 5):

@@ -47,7 +47,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clicks import ClickDistribution, N_DETECTORS, CoherenceTriple, coherence_from_clicks
+from .clicks import (
+    _COINCIDENCE_WEIGHTS,
+    N_DETECTORS,
+    ClickDistribution,
+    CoherenceTriple,
+    coherence_from_clicks,
+)
 from .detection import DetectionParams, apply_detection
 from .errors import InvalidParameterError, NoSignalError
 from .states import PhotonDistribution, StateParams, squeezed_distribution
@@ -234,19 +240,21 @@ def _histograms(
     return histograms
 
 
-def _coherence_gradients(gamma_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    i = np.arange(N_DETECTORS + 1, dtype=float)
-    n = float(i @ gamma_hat)
-    coef2 = np.array([0.0, 0.0, 8.0, 24.0, 48.0])
-    s2 = float(coef2 @ gamma_hat)
-    grad2 = coef2 / (3.0 * n**2) - (2.0 * s2 / (3.0 * n**3)) * i
-    grad3 = np.zeros(5)
-    grad3[3] = 16.0 / n**3
-    grad3 -= (48.0 * gamma_hat[3] / n**4) * i
-    grad4 = np.zeros(5)
-    grad4[4] = 256.0 / n**4
-    grad4 -= (1024.0 * gamma_hat[4] / n**5) * i
-    return grad2, grad3, grad4
+def _coherence_gradients(gamma_hat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Gradients of g2, g3 and g4 with respect to the click probabilities
+    G, from the estimators' weights (``clicks._COINCIDENCE_WEIGHTS``):
+    g_k = (w_k . G) / (d_k <n>^k) with <n> = j . G has the gradient
+    w_k / (d_k <n>^k) - k (w_k . G) / (d_k <n>^(k+1)) j."""
+    j = np.arange(N_DETECTORS + 1, dtype=float)
+    n = float(j @ gamma_hat)
+    grads = []
+    for k, (divisor, pairs) in enumerate(_COINCIDENCE_WEIGHTS, start=2):
+        w = np.zeros(N_DETECTORS + 1)
+        for i, weight in pairs:
+            w[i] = weight
+        s = float(w @ gamma_hat)
+        grads.append(w / (divisor * n**k) - (k * s / (divisor * n ** (k + 1))) * j)
+    return tuple(grads)
 
 
 def run_mc(config: McConfig) -> McResult:

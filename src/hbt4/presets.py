@@ -5,7 +5,11 @@ Each preset resolves to a parameter dictionary (every default overridable
 by key), produces one or more sweep tables and a manifest documenting the
 resolved parameters.  Where a scan range is a choice rather than a
 constraint (map extents, the phase-scan noise family) the defaults live
-here and land in the manifest.
+here and land in the manifest.  The family scans (fig3, fig5, fig6) build
+every table with ``_family_table``: one 1-axis sweep per run of a family
+value, the value prepended to each row.  A family value that is not a
+non-empty list of numbers, or phase-scan states that do not map labels to
+[r, alpha] pairs, are rejected before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Callable
+import numbers
+from collections.abc import Callable, Iterable
+from dataclasses import replace
 
 from .detection import DetectionParams
 from .errors import InvalidParameterError
@@ -57,32 +63,44 @@ def _axis(name: str, p: dict, prefix: str) -> SweepAxis:
     )
 
 
-def _family_rows(
-    family_name: str,
-    family_value: float,
-    scan_axis: SweepAxis,
-    state: StateParams,
-    detection: DetectionParams,
-    pipeline: str,
-) -> tuple[tuple[str, str], list[SweepRow]]:
-    """Rows of a 1-axis scan, with the fixed family value prepended as an
-    extra axis column."""
-    spec = SweepSpec(axes=(scan_axis,), state=state, detection=detection, pipeline=pipeline)
-    table = sweep(spec)
-    names = (family_name, scan_axis.name)
-    rows = [
-        SweepRow(
-            axis_values=(float(family_value),) + row.axis_values,
-            g2=row.g2,
-            g3=row.g3,
-            g4=row.g4,
-            mean=row.mean,
-            pipeline=row.pipeline,
-            diagnostics=row.diagnostics,
-        )
-        for row in table.rows
-    ]
-    return names, rows
+def _is_numbers(values, size: int | None = None) -> bool:
+    """Whether ``values`` is a non-empty list of numbers, of ``size`` of
+    them if given."""
+    return (
+        isinstance(values, (list, tuple))
+        and len(values) > 0
+        and size in (None, len(values))
+        and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+    )
+
+
+def _family_values(p: dict, key: str) -> list:
+    if not _is_numbers(p[key]):
+        raise InvalidParameterError(key, f"must be a non-empty list of numbers, got {p[key]!r}")
+    return p[key]
+
+
+def _chain_runs(p: dict, family_name: str) -> list[tuple]:
+    """For each value in ``p[family_name + "_values"]`` (r or alpha, the
+    other one 0), a run of the ideal chain and one of the click chain at
+    the preset's eta and gamma."""
+    feasible = DetectionParams(p["eta"], p["gamma"])
+    runs = []
+    for value in _family_values(p, f"{family_name}_values"):
+        state = StateParams(**{"r": 0.0, "alpha": 0.0, family_name: value}, theta=p["theta"])
+        runs += [(value, state, DetectionParams(), "ideal"), (value, state, feasible, "click")]
+    return runs
+
+
+def _family_table(family_name: str, scan_axis: SweepAxis, runs: Iterable[tuple]) -> SweepTable:
+    """One table of 1-axis scans, one per run (family value, state,
+    detection, pipeline), with the run's family value prepended to each
+    row as an extra axis column."""
+    rows: list[SweepRow] = []
+    for value, state, detection, pipeline in runs:
+        table = sweep(SweepSpec((scan_axis,), state, detection, pipeline))
+        rows += [replace(row, axis_values=(float(value),) + row.axis_values) for row in table.rows]
+    return SweepTable(axis_names=(family_name, scan_axis.name), rows=tuple(rows))
 
 
 def coherence_maps(overrides: dict) -> tuple[dict, dict[str, SweepTable]]:
@@ -114,25 +132,10 @@ def amplitude_and_squeezing_scans(overrides: dict) -> tuple[dict, dict[str, Swee
         "gamma": FEASIBLE_DETECTION.gamma,
     }
     p = _merge(defaults, overrides)
-    feasible = DetectionParams(eta=p["eta"], gamma=p["gamma"])
-    tables: dict[str, SweepTable] = {}
-    for part, family_name, family_values, scan in (
-        ("alpha", "r", p["r_values"], _axis("alpha", p, "alpha")),
-        ("r", "alpha", p["alpha_values"], _axis("r", p, "r")),
-    ):
-        rows: list[SweepRow] = []
-        names = None
-        for value in family_values:
-            state = StateParams(
-                r=value if family_name == "r" else 0.0,
-                theta=p["theta"],
-                alpha=value if family_name == "alpha" else 0.0,
-            )
-            for pipeline, det in (("ideal", DetectionParams()), ("click", feasible)):
-                names, part_rows = _family_rows(family_name, value, scan, state, det, pipeline)
-                rows.extend(part_rows)
-        tables[part] = SweepTable(axis_names=names, rows=tuple(rows))
-    return p, tables
+    return p, {
+        "alpha": _family_table("r", _axis("alpha", p, "alpha"), _chain_runs(p, "r")),
+        "r": _family_table("alpha", _axis("r", p, "r"), _chain_runs(p, "alpha")),
+    }
 
 
 def minimum_maps(overrides: dict) -> tuple[dict, dict[str, SweepTable]]:
@@ -169,15 +172,7 @@ def squeezing_scans_at_pi(overrides: dict) -> tuple[dict, dict[str, SweepTable]]
         "gamma": FEASIBLE_DETECTION.gamma,
     }
     p = _merge(defaults, overrides)
-    feasible = DetectionParams(eta=p["eta"], gamma=p["gamma"])
-    rows: list[SweepRow] = []
-    names = None
-    for alpha in p["alpha_values"]:
-        state = StateParams(r=0.0, theta=p["theta"], alpha=alpha)
-        for pipeline, det in (("ideal", DetectionParams()), ("click", feasible)):
-            names, part_rows = _family_rows("alpha", alpha, _axis("r", p, "r"), state, det, pipeline)
-            rows.extend(part_rows)
-    return p, {"scan": SweepTable(axis_names=names, rows=tuple(rows))}
+    return p, {"scan": _family_table("alpha", _axis("r", p, "r"), _chain_runs(p, "alpha"))}
 
 
 def phase_scans(overrides: dict) -> tuple[dict, dict[str, SweepTable]]:
@@ -191,21 +186,16 @@ def phase_scans(overrides: dict) -> tuple[dict, dict[str, SweepTable]]:
         "states": {k: list(v) for k, v in PHASE_SCAN_STATES.items()},
     }
     p = _merge(defaults, overrides)
+    gammas, states = _family_values(p, "gamma_values"), p["states"]
+    pairs = isinstance(states, dict) and all(_is_numbers(v, 2) for v in states.values())
+    if not (states and pairs):
+        raise InvalidParameterError("states", f"must map labels to [r, alpha], got {states!r}")
+    theta = _axis("theta", p, "theta")
     tables = {}
-    for label, (r, alpha) in p["states"].items():
-        rows: list[SweepRow] = []
-        names = None
-        for gamma in p["gamma_values"]:
-            names, part_rows = _family_rows(
-                "gamma",
-                gamma,
-                _axis("theta", p, "theta"),
-                StateParams(r=r, theta=0.0, alpha=alpha),
-                DetectionParams(eta=p["eta"], gamma=gamma),
-                "click",
-            )
-            rows.extend(part_rows)
-        tables[label] = SweepTable(axis_names=names, rows=tuple(rows))
+    for label, (r, alpha) in states.items():
+        state = StateParams(r=r, theta=0.0, alpha=alpha)
+        runs = [(gamma, state, DetectionParams(p["eta"], gamma), "click") for gamma in gammas]
+        tables[label] = _family_table("gamma", theta, runs)
     return p, tables
 
 

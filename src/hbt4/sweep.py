@@ -3,28 +3,29 @@
 Sweeps evaluate either the loss-free closed form ("ideal") or the full
 detection-plus-click chain ("click") over 1- or 2-axis grids, emitting
 rows in row-major axis order.  Per-point failures (vacuum input, zero
-signal, or a mean click number too small to resolve g4) are recorded in
-the row diagnostics and never abort a sweep.
+signal, or a mean too small to resolve g4) are recorded in the row
+diagnostics and never abort a sweep.
 
 A single click point (``evaluate_point``) is its photon-number
 distribution times the cached 5 x N click operator of its detector
-(``clicks.detected_clicks``), one matrix-vector product.  A grid of states
-at one detector is evaluated at once: ``states.packed_distributions``
-builds their distributions as the columns of one zero-padded N x K matrix,
-running the recurrence for all of them together, the matrix takes one
-product with the operator, and the coincidence ratios of all K columns
-follow from the weight table that ``clicks.coherence_from_clicks`` uses.  Click sweeps
-group their points by detector this way, and so do the coarse grids of
-extremum searches over r, theta or alpha and of every minimized-map cell.
-The per-distribution chain, ``clicks.click_coherence(apply_detection(...))``,
-is the reference of both.
+(``clicks.detected_clicks``), one matrix-vector product.  Sweeps and the
+coarse grids of extremum searches over every parameter go through one
+evaluator, ``_evaluate``: the states at one detector are built by
+``states.packed_distributions`` as the columns of one zero-padded N x K
+matrix, running the recurrence for all of them together, the matrix takes
+one product with the operator, and the coincidence ratios of all K columns
+follow from the weight table that ``clicks.coherence_from_clicks`` uses.
+An undefined point gives the message of the error ``evaluate_point``
+raises there.  The per-distribution chain,
+``clicks.click_coherence(apply_detection(...))``, is the reference of both.
 
 Extremum searches run a coarse grid (log-spaced for amplitude-like
 parameters) followed by golden-section refinement inside the bracket
-around the best coarse sample.  Minimized maps share one coarse amplitude
-grid: its states are built once per map, each (gamma, eta) cell fetches
-its click operator once and evaluates every coarse state against it, and
-every order is refined from those values inside the cell.
+around the best coarse sample; an undefined point scores +inf.  Minimized
+maps share one coarse amplitude grid: its states are built once per map,
+each (gamma, eta) cell fetches its click operator once and evaluates every
+coarse state against it, and every order is refined from those values
+inside the cell.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .states import StateParams, packed_distributions, squeezed_distribution
 
 PIPELINES = ("ideal", "click")
 PARAMETERS = ("r", "theta", "alpha", "eta", "gamma")
-_STATE_PARAMETERS = ("r", "theta", "alpha")
+_STATE_PARAMETERS = frozenset({"r", "theta", "alpha"})
 
 # Parameters scanned on a logarithmic grid by default: dips and peaks sit
 # at small amplitudes and noise spans decades.
@@ -109,8 +110,7 @@ class SweepSpec:
     def __post_init__(self):
         if not (1 <= len(self.axes) <= 2):
             raise InvalidParameterError("axes", "need 1 or 2 axes")
-        if self.pipeline not in PIPELINES:
-            raise InvalidParameterError("pipeline", f"must be one of {PIPELINES}")
+        _check_pipeline(self.pipeline)
         _check_orders(self.orders)
 
 
@@ -150,12 +150,28 @@ def squeezing_db(r: float) -> float:
     return 20.0 * math.log10(math.e) * r
 
 
-def _with_parameter(
-    state: StateParams, detection: DetectionParams, name: str, value: float
-) -> tuple[StateParams, DetectionParams]:
-    if name in _STATE_PARAMETERS:
-        return replace(state, **{name: value}), detection
-    return state, replace(detection, **{name: value})
+def _check_pipeline(pipeline: str) -> None:
+    if pipeline not in PIPELINES:
+        raise InvalidParameterError("pipeline", f"must be one of {PIPELINES}, got {pipeline!r}")
+
+
+def _points(
+    state: StateParams, detection: DetectionParams, names: Sequence[str], grid: Iterable[tuple]
+) -> list[tuple[StateParams, DetectionParams]]:
+    """The (state, detection) point of every tuple of values of the named
+    parameters in ``grid``, each built directly, with its field checks."""
+    base = vars(state) | vars(detection)
+    sets_state = not _STATE_PARAMETERS.isdisjoint(names)
+    sets_detection = not _STATE_PARAMETERS.issuperset(names)
+    points = []
+    for values in grid:
+        fields = base | dict(zip(names, values))
+        if sets_state:
+            state = StateParams(fields["r"], fields["theta"], fields["alpha"])
+        if sets_detection:
+            detection = DetectionParams(fields["eta"], fields["gamma"])
+        points.append((state, detection))
+    return points
 
 
 def evaluate_point(
@@ -169,9 +185,21 @@ def evaluate_point(
     The click pipeline equals ``click_coherence(apply_detection(
     squeezed_distribution(state, tol), detection))`` up to rounding.
     """
+    _check_pipeline(pipeline)
     if pipeline == "ideal":
         return ideal_coherence(state)
     return coherence_from_clicks(detected_clicks(squeezed_distribution(state, tol), detection))
+
+
+def _point_result(
+    state: StateParams, detection: DetectionParams, pipeline: str, tol: float
+) -> CoherenceTriple | str:
+    """``evaluate_point``, or the message of its error where the coherence
+    is undefined."""
+    try:
+        return evaluate_point(state, detection, pipeline, tol)
+    except (UndefinedCoherenceError, NoSignalError) as exc:
+        return str(exc)
 
 
 _CLICK_NUMBERS = np.arange(N_DETECTORS + 1.0)
@@ -217,45 +245,45 @@ def _sweep_row(values: tuple[float, ...], result: CoherenceTriple | str, spec: S
     )
 
 
-def sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the pipeline over the grid; rows in row-major axis order.
+def _evaluate(
+    points: Sequence[tuple[StateParams, DetectionParams]], pipeline: str, tol: float
+) -> list[CoherenceTriple | str]:
+    """The coherence of every (state, detection) point, or the message of
+    the error ``evaluate_point`` raises there.  Click points are evaluated
+    by detector: the states that share one (eta, gamma) take one
+    ``_click_grid`` product per ``_GRID_COLUMNS``."""
+    if pipeline == "ideal":
+        return [_point_result(state, detection, pipeline, tol) for state, detection in points]
+    by_detector: dict[DetectionParams, list[int]] = {}
+    for i, (_, detection) in enumerate(points):
+        by_detector.setdefault(detection, []).append(i)
+    results: list = [None] * len(points)
+    for detection, indices in by_detector.items():
+        for start in range(0, len(indices), _GRID_COLUMNS):
+            chunk = indices[start : start + _GRID_COLUMNS]
+            packed = packed_distributions([points[i][0] for i in chunk], tol)
+            for i, result in zip(chunk, _click_grid(packed, detection)):
+                results[i] = result
+    return results
 
-    Click points are evaluated by detector: the states that share one
-    (eta, gamma) take one ``_click_grid`` product per ``_GRID_COLUMNS``.
-    """
-    points = list(itertools.product(*(axis.grid().tolist() for axis in spec.axes)))
-    params = []
-    for values in points:
-        state, detection = spec.state, spec.detection
-        for axis, value in zip(spec.axes, values):
-            state, detection = _with_parameter(state, detection, axis.name, value)
-        params.append((state, detection))
-    results: list[CoherenceTriple | str | None] = []
-    if spec.pipeline == "click":
-        by_detector: dict[DetectionParams, list[int]] = {}
-        for i, (_, detection) in enumerate(params):
-            by_detector.setdefault(detection, []).append(i)
-        results = [None] * len(params)
-        for detection, indices in by_detector.items():
-            for start in range(0, len(indices), _GRID_COLUMNS):
-                chunk = indices[start : start + _GRID_COLUMNS]
-                packed = packed_distributions([params[i][0] for i in chunk], spec.tol)
-                for i, result in zip(chunk, _click_grid(packed, detection)):
-                    results[i] = result
-    else:
-        for state, _ in params:
-            try:
-                results.append(ideal_coherence(state))
-            except (UndefinedCoherenceError, NoSignalError) as exc:
-                results.append(str(exc))
+
+def sweep(spec: SweepSpec) -> SweepTable:
+    """Evaluate the pipeline over the grid; rows in row-major axis order."""
+    names = tuple(axis.name for axis in spec.axes)
+    grid = list(itertools.product(*(axis.grid().tolist() for axis in spec.axes)))
+    results = _evaluate(_points(spec.state, spec.detection, names, grid), spec.pipeline, spec.tol)
     return SweepTable(
-        axis_names=tuple(axis.name for axis in spec.axes),
-        rows=tuple(_sweep_row(values, result, spec) for values, result in zip(points, results)),
+        axis_names=names,
+        rows=tuple(_sweep_row(values, result, spec) for values, result in zip(grid, results)),
     )
 
 
-def _order_value(triple: CoherenceTriple, order: int) -> float:
-    return (triple.g2, triple.g3, triple.g4)[order - 2]
+def _order_value(result: CoherenceTriple | str, order: int, sign: float = 1.0) -> float:
+    """The score of g^(order) at a point, ``sign`` times its value, or
+    +inf where the coherence is undefined."""
+    if isinstance(result, str):
+        return math.inf
+    return sign * (result.g2, result.g3, result.g4)[order - 2]
 
 
 def _check_orders(orders) -> tuple[int, ...]:
@@ -363,29 +391,19 @@ def find_extremum(
         raise InvalidParameterError("parameter", f"unknown parameter {parameter!r}")
     if mode not in ("min", "max"):
         raise InvalidParameterError("mode", f"must be min or max, got {mode}")
-    if pipeline not in PIPELINES:
-        raise InvalidParameterError("pipeline", f"must be one of {PIPELINES}")
+    _check_pipeline(pipeline)
     if not (isinstance(bracket_tol, numbers.Real) and 0.0 < bracket_tol < math.inf):
         raise InvalidParameterError("bracket_tol", f"must be finite and > 0, got {bracket_tol!r}")
     grid, log_scale = _coarse_grid(parameter, bounds, coarse_points)
     detection = detection or DetectionParams()
     sign = 1.0 if mode == "min" else -1.0
 
-    def score(triple: CoherenceTriple | str | None) -> float:
-        if isinstance(triple, CoherenceTriple):
-            return sign * _order_value(triple, order)
-        return math.inf
-
     def objective(value: float) -> float:
-        s, d = _with_parameter(state, detection, parameter, value)
-        return score(_coherence_or_none(evaluate_point, s, d, pipeline, tol))
+        (point,) = _points(state, detection, (parameter,), [(value,)])
+        return _order_value(_point_result(*point, pipeline, tol), order, sign)
 
-    if pipeline == "click" and parameter in _STATE_PARAMETERS:
-        states = [replace(state, **{parameter: v}) for v in grid.tolist()]
-        triples = _click_grid(packed_distributions(states, tol), detection)
-        values = np.array([score(t) for t in triples])
-    else:
-        values = np.array([objective(v) for v in grid.tolist()])
+    coarse = _evaluate(_points(state, detection, (parameter,), zip(grid.tolist())), pipeline, tol)
+    values = np.array([_order_value(result, order, sign) for result in coarse])
     location, value, width, boundary = _golden_section(
         objective, grid, values, log_scale, bracket_tol
     )
@@ -399,14 +417,6 @@ def find_extremum(
         mode=mode,
         pipeline=pipeline,
     )
-
-
-def _coherence_or_none(evaluate: Callable, *args) -> CoherenceTriple | None:
-    """``evaluate(*args)``, or None where the coherence is undefined."""
-    try:
-        return evaluate(*args)
-    except (UndefinedCoherenceError, NoSignalError):
-        return None
 
 
 def minimized_maps(
@@ -431,14 +441,13 @@ def minimized_maps(
     orders = _check_orders(orders)
     if gamma_axis.name != "gamma" or eta_axis.name != "eta":
         raise InvalidParameterError("axes", "expected a gamma axis and an eta axis")
-    if pipeline not in PIPELINES:
-        raise InvalidParameterError("pipeline", f"must be one of {PIPELINES}")
+    _check_pipeline(pipeline)
     grid, _ = _coarse_grid("alpha", alpha_bounds, coarse_points)
-    coarse = [replace(state, alpha=alpha) for alpha in grid.tolist()]
+    coarse = [StateParams(state.r, state.theta, alpha) for alpha in grid.tolist()]
     if pipeline == "click":
         packed = packed_distributions(coarse)
     else:
-        triples = [_coherence_or_none(ideal_coherence, s) for s in coarse]
+        results = _evaluate([(s, DetectionParams()) for s in coarse], pipeline, 1e-12)
     rows: dict[int, list[SweepRow]] = {order: [] for order in orders}
     for gamma in gamma_axis.grid():
         for eta in eta_axis.grid():
@@ -446,32 +455,26 @@ def minimized_maps(
             if pipeline == "click":
                 # Fetched at the widest coarse support first, the kept
                 # operator serves every coarse and refinement state.
-                triples = _click_grid(packed, detection)
-            refined: dict[float, CoherenceTriple | None] = {}
+                results = _click_grid(packed, detection)
+            refined: dict[float, CoherenceTriple | str] = {}
 
-            def triple_at(alpha: float) -> CoherenceTriple | None:
+            def result_at(alpha: float) -> CoherenceTriple | str:
                 if alpha not in refined:
-                    s = replace(state, alpha=alpha)
-                    refined[alpha] = _coherence_or_none(evaluate_point, s, detection, pipeline)
+                    s = StateParams(state.r, state.theta, alpha)
+                    refined[alpha] = _point_result(s, detection, pipeline, 1e-12)
                 return refined[alpha]
 
             for order in orders:
 
                 def objective(alpha: float, order: int = order) -> float:
-                    triple = triple_at(alpha)
-                    return math.inf if triple is None else _order_value(triple, order)
+                    return _order_value(result_at(alpha), order)
 
-                values = np.array(
-                    [
-                        _order_value(t, order) if isinstance(t, CoherenceTriple) else math.inf
-                        for t in triples
-                    ]
-                )
+                values = np.array([_order_value(result, order) for result in results])
                 location, value, _, _ = _golden_section(objective, grid, values, True, _BRACKET_TOL)
                 # A minimum on a coarse sample takes its mean from the
                 # one-state product, as at the refinement points.
                 at_min = refined.get(location) or evaluate_point(
-                    replace(state, alpha=location), detection, pipeline
+                    StateParams(state.r, state.theta, location), detection, pipeline
                 )
                 g = [math.nan, math.nan, math.nan]
                 g[order - 2] = value

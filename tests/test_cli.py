@@ -239,6 +239,31 @@ class TestFigure:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "preset, override",
+        [
+            ("fig3", "r_values=[]"),
+            ("fig3", "alpha_values=[0.1, true]"),
+            ("fig5", "alpha_values=[]"),
+            ("fig5", "alpha_values=5"),
+            ("fig5", "eta=[1]"),
+            ("fig6", "gamma_values=[]"),
+            ("fig6", 'gamma_values=["x"]'),
+            ("fig6", 'states={"g2": 1}'),
+            ("fig6", "states=[1]"),
+            ("fig6", "states={}"),
+            ("fig6", 'states={"g2": [0.001]}'),
+            ("fig6", "eta=[1]"),
+        ],
+    )
+    def test_bad_family_override_is_config_error(self, capsys, tmp_path, preset, override):
+        code, _, err = run_cli(
+            capsys, "figure", "--preset", preset, "--set", override, "--outdir", str(tmp_path)
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_override_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -385,6 +410,14 @@ class TestConfigRoundTrip:
         code, _, err = run_cli(capsys, "point", "--config", str(config_path))
         assert code == 2
         assert "bogus_key" in err
+
+    @pytest.mark.parametrize("field", ["eta", "gamma"])
+    def test_non_numeric_detection_in_config_is_config_error(self, capsys, tmp_path, field):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps({"schema_version": 1, field: "x"}))
+        code, _, err = run_cli(capsys, "point", "--config", str(config_path))
+        assert code == 2
+        assert f"{field}: must be a real number" in err
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         config_path = tmp_path / "base.json"

@@ -158,3 +158,33 @@ class TestFactorialMoments:
         assert after.g2 == pytest.approx(before.g2, rel=1e-8)
         assert after.g3 == pytest.approx(before.g3, rel=1e-8)
         assert after.g4 == pytest.approx(before.g4, rel=1e-8)
+
+
+class TestWeakFieldUnderflow:
+    # A coherent state has <n> = alpha^2: <n>^4 is 1e-304, a normal float,
+    # at alpha = 1e-38; it is subnormal at 1e-40 and 0 at 1e-45.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "coherence",
+        [ideal_coherence, lambda s: factorial_moments(squeezed_distribution(s))],
+        ids=["closed-form", "factorial-moments"],
+    )
+    def test_weak_fields_resolve_g4_or_are_undefined(self, coherence):
+        triple = coherence(StateParams(r=0.0, theta=0.0, alpha=1e-38))
+        assert triple.g4 == pytest.approx(1.0, rel=1e-12)
+        for alpha in (1e-40, 1e-45):
+            with pytest.raises(UndefinedCoherenceError, match="^mean photon number too small"):
+                coherence(StateParams(r=0.0, theta=0.0, alpha=alpha))
+
+    @pytest.mark.filterwarnings("error")
+    def test_variant_bracket_is_undefined_below_the_same_mean(self):
+        with pytest.raises(UndefinedCoherenceError, match="too small"):
+            fourth_order_variant(StateParams(r=0.0, theta=0.0, alpha=1e-45))
+
+    def test_zero_means_keep_their_messages(self):
+        with pytest.raises(UndefinedCoherenceError, match="^vacuum input: coherence undefined$"):
+            ideal_coherence(StateParams(r=0.0, theta=0.0, alpha=0.0))
+        with pytest.raises(
+            UndefinedCoherenceError, match="^zero-mean distribution: coherence undefined$"
+        ):
+            factorial_moments(fock_distribution(0))

@@ -152,6 +152,18 @@ class TestApplyDetection:
         with pytest.raises(InvalidParameterError):
             DetectionParams(gamma=-1.0)
 
+    def test_detection_params_fields_are_python_floats(self):
+        det = DetectionParams(eta=np.float64(0.5), gamma=np.int64(0))
+        assert [type(v) for v in (det.eta, det.gamma)] == [float, float]
+        assert det == DetectionParams(eta=0.5, gamma=0.0)
+
+    @pytest.mark.parametrize("field", ["eta", "gamma"])
+    @pytest.mark.parametrize("value", [1j, "x", None, [1]])
+    def test_detection_params_reject_values_that_are_not_real_numbers(self, field, value):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            DetectionParams(**{field: value})
+        assert excinfo.value.field == field
+
     def test_mean_through_full_chain(self):
         d = squeezed_distribution(StateParams(r=0.3, theta=0.5, alpha=0.8))
         det = DetectionParams(eta=0.4, gamma=0.05)

@@ -19,7 +19,7 @@ from hbt4 import (
     squeezed_distribution,
 )
 from hbt4 import montecarlo
-from hbt4.clicks import _occupancy_table
+from hbt4.clicks import _coincidence_ratios, _occupancy_table
 from hbt4.montecarlo import _CHUNK
 
 
@@ -275,6 +275,26 @@ class TestSampler:
             condition_min_photons=condition,
         )
         assert run_mc(config).click_histogram.sum() == trials
+
+
+class TestCoherenceGradients:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_match_finite_differences_of_the_estimators(self, seed):
+        rng = np.random.default_rng(seed)
+        clicks = rng.dirichlet(np.full(5, rng.uniform(0.2, 3.0)))
+        j = np.arange(5.0)
+
+        def ratios(g):
+            return np.array(_coincidence_ratios(g, float(j @ g)))
+
+        step = 1e-6
+        numeric = np.empty((3, 5))
+        for i in range(5):
+            shift = np.zeros(5)
+            shift[i] = step
+            numeric[:, i] = (ratios(clicks + shift) - ratios(clicks - shift)) / (2.0 * step)
+        for k, grad in enumerate(montecarlo._coherence_gradients(clicks)):
+            np.testing.assert_allclose(grad, numeric[k], rtol=1e-6, atol=1e-6 * np.abs(grad).max())
 
 
 class TestConfigValidation:

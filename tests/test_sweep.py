@@ -12,6 +12,7 @@ from hbt4 import (
     StateParams,
     SweepAxis,
     SweepSpec,
+    UndefinedCoherenceError,
     evaluate_point,
     find_extremum,
     ideal_coherence,
@@ -141,8 +142,9 @@ class TestSweep:
 
 def assert_rows_match_points(spec):
     """Every row of ``sweep(spec)`` within 1e-12 relative of
-    ``evaluate_point`` at its parameters, and every row without signal
-    carrying the exact NoSignalError message."""
+    ``evaluate_point`` at its parameters, and every row where the
+    coherence is undefined carrying the exact message of the point's
+    error."""
     table = sweep(spec)
     assert len(table.rows) == math.prod(axis.points for axis in spec.axes)
     for row in table.rows:
@@ -154,7 +156,7 @@ def assert_rows_match_points(spec):
                 detection = replace(detection, **{axis.name: value})
         try:
             point = evaluate_point(state, detection, spec.pipeline, spec.tol)
-        except NoSignalError as exc:
+        except (NoSignalError, UndefinedCoherenceError) as exc:
             assert row.diagnostics == str(exc)
             assert all(math.isnan(v) for v in (row.g2, row.g3, row.g4, row.mean))
             continue
@@ -236,6 +238,48 @@ class TestGridEvaluation:
         assert [row.g4 == pytest.approx(1.0) for row in table.rows] == [False] * 7 + [True] * 2
         assert all("too small" in row.diagnostics for row in table.rows[:7])
 
+    @pytest.mark.filterwarnings("error")
+    def test_ideal_rows_too_weak_to_resolve_keep_the_point_diagnostics(self):
+        spec = SweepSpec(
+            (SweepAxis("alpha", 1e-46, 1e-37, 10, "log"),),
+            StateParams(r=0.0, theta=0.0, alpha=0.0),
+            pipeline="ideal",
+        )
+        table = assert_rows_match_points(spec)
+        # <n> = alpha^2: alpha = 1e-38 and 1e-37 resolve g4.
+        assert [row.diagnostics == "" for row in table.rows] == [False] * 8 + [True] * 2
+        too_small = "mean photon number too small"
+        assert all(row.diagnostics.startswith(too_small) for row in table.rows[:8])
+
+    def test_grid_points_keep_the_field_checks(self):
+        state = StateParams(r=0.1, theta=0.0, alpha=0.5)
+        with pytest.raises(InvalidParameterError, match="^eta"):
+            sweep(SweepSpec((SweepAxis("eta", 0.5, 1.5, 3),), state, pipeline="click"))
+        with pytest.raises(InvalidParameterError, match="^r"):
+            sweep(SweepSpec((SweepAxis("r", -1.0, 1.0, 3), SweepAxis("gamma", 0.0, 1.0, 2)), state))
+
+    def test_unknown_pipelines_are_rejected_everywhere(self):
+        state = StateParams(r=0.1, theta=0.0, alpha=0.5)
+        calls = (
+            lambda: evaluate_point(state, FEASIBLE, "quantum"),
+            lambda: SweepSpec((SweepAxis("alpha", 0.1, 1.0, 3),), state, pipeline="quantum"),
+            lambda: find_extremum(2, "alpha", (1e-3, 1.0), state, pipeline="quantum"),
+            lambda: minimized_maps((2,), GAMMAS, ETAS, WEAK, pipeline="quantum"),
+        )
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="^pipeline: .*'quantum'"):
+                call()
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_undefined_coarse_samples_never_win_a_search(self, mode):
+        # Nothing clicks at eta = 0: that sample scores +inf in either mode.
+        state = StateParams(r=0.002, theta=0.3, alpha=0.05)
+        result = find_extremum(
+            2, "eta", (0.0, 1.0), state, DetectionParams(gamma=0.0), mode, "click", coarse_points=11
+        )
+        assert result.location > 0.0
+        assert math.isfinite(result.value)
+
     def test_click_sweeps_and_coarse_grids_skip_the_point_path(self, monkeypatch):
         calls = []
         point = sweep_module.evaluate_point
@@ -253,9 +297,20 @@ class TestGridEvaluation:
         find_extremum(2, "alpha", (1e-3, 1.0), WEAK_DIP, FEASIBLE, pipeline="click")
         # Golden-section refinement only: the 200 coarse samples take one product.
         assert 10 < len(calls) < 40
+        # Coarse grids over eta or gamma take one product per detector: a
+        # minimum on a bound needs no point at all, an interior one only
+        # its refinement.
+        state = StateParams(r=0.002, theta=0.3, alpha=0.05)
+        calls.clear()
+        assert find_extremum(2, "eta", (0.1, 1.0), state, FEASIBLE, pipeline="click").boundary
+        assert calls == []
+        result = find_extremum(3, "gamma", (1e-9, 1e-2), state, FEASIBLE, pipeline="click")
+        assert not result.boundary
+        assert 10 < len(calls) < 40
 
     @pytest.mark.parametrize("parameter, bounds", [
         ("alpha", (1e-3, 1.0)), ("r", (1e-4, 0.5)), ("theta", (0.0, 2.0 * math.pi)),
+        ("eta", (0.1, 1.0)), ("gamma", (1e-9, 1e-2)),
     ])
     @pytest.mark.parametrize("order, mode", [(2, "min"), (3, "min"), (4, "max")])
     def test_extremum_matches_one_point_per_coarse_sample(self, parameter, bounds, order, mode):
@@ -268,7 +323,11 @@ class TestGridEvaluation:
         sign = 1.0 if mode == "min" else -1.0
 
         def objective(value):
-            triple = evaluate_point(replace(state, **{parameter: value}), FEASIBLE, "click")
+            if parameter in ("eta", "gamma"):
+                point = state, replace(FEASIBLE, **{parameter: value})
+            else:
+                point = replace(state, **{parameter: value}), FEASIBLE
+            triple = evaluate_point(*point, "click")
             return sign * (triple.g2, triple.g3, triple.g4)[order - 2]
 
         values = np.array([objective(v) for v in grid.tolist()])
