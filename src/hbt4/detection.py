@@ -10,13 +10,12 @@ order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .states import PhotonDistribution
+from .states import PhotonDistribution, _real
 
 
 @dataclass(frozen=True)
@@ -28,13 +27,8 @@ class DetectionParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        # Python floats, as in StateParams.
         for name in ("eta", "gamma"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                if not isinstance(value, numbers.Real):
-                    raise InvalidParameterError(name, f"must be a real number, got {value!r}")
-                object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (math.isfinite(self.eta) and 0.0 <= self.eta <= 1.0):
             raise InvalidParameterError("eta", f"must lie in [0, 1], got {self.eta}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):

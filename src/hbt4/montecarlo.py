@@ -7,6 +7,20 @@ detectors fired.  Estimates of the click probabilities and the click-based
 coherences follow from the empirical histogram, with standard errors from
 multinomial variance propagation.
 
+Only that histogram leaves a chunk of trials, so the trials of a chunk are
+exchangeable: their order carries no information, and each stage may
+draw the whole chunk as counts instead of one trial at a time, exactly in
+distribution.
+- Photon numbers: one multinomial draw gives how many trials hold each
+  photon number of the support, and the trials are laid out grouped by
+  that number.
+- Loss: each group of k photons is thinned by one binomial draw of
+  Binomial(k, eta) for all of its trials.
+- Background: where gamma <= 1, the chunk's total M ~ Poisson(gamma * size)
+  is drawn once and its photons are scattered uniformly over the trials,
+  which gives each trial an independent Poisson(gamma) count.  Above that,
+  each trial draws its own count, so memory stays bounded by the trials.
+
 Weak fields make multi-click events vanishingly rare, so the simulator
 optionally stratifies on the total photon number L reaching the splitter
 tree: trials are split between the exactly known strata {L < k} and
@@ -56,7 +70,7 @@ from .clicks import (
 )
 from .detection import DetectionParams, apply_detection
 from .errors import InvalidParameterError, NoSignalError
-from .states import PhotonDistribution, StateParams, squeezed_distribution
+from .states import PhotonDistribution, StateParams, _check_tol, squeezed_distribution
 
 _CHUNK = 1 << 18
 # A CPU quota does not show in the affinity mask, and each worker holds a
@@ -88,8 +102,13 @@ class McConfig:
             raise InvalidParameterError("seed", "must be a 64-bit unsigned integer")
         if self.condition_min_photons < 0:
             raise InvalidParameterError("condition_min_photons", "must be >= 0")
-        if self.state is None and self.source is None:
-            raise InvalidParameterError("state", "either state or source must be given")
+        if (self.state is None) == (self.source is None):
+            raise InvalidParameterError("state", "give exactly one of state and source")
+        if not isinstance(self.detection, DetectionParams):
+            raise InvalidParameterError(
+                "detection", f"must be a DetectionParams, got {self.detection!r}"
+            )
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -133,13 +152,6 @@ def _route_clicks(rng: np.random.Generator, totals: np.ndarray) -> np.ndarray:
     return hist
 
 
-def _sample_inverse_cdf(rng: np.random.Generator, cum: np.ndarray, size: int) -> np.ndarray:
-    idx = np.searchsorted(cum, rng.random(size), side="right")
-    # Mass beyond the truncated support (< the distribution tolerance) is
-    # clamped onto the last retained photon number.
-    return np.minimum(idx, cum.size - 1, out=idx)
-
-
 def _source_distribution(config: McConfig) -> PhotonDistribution:
     if config.source is not None:
         return config.source
@@ -149,15 +161,31 @@ def _source_distribution(config: McConfig) -> PhotonDistribution:
 def _sampler(probs: np.ndarray, offset: int = 0, eta: float = 1.0, gamma: float = 0.0) -> Sampler:
     """Photon totals at the splitter: ``offset`` plus a draw from ``probs``,
     thinned by binomial loss at efficiency ``eta``, plus Poisson(``gamma``)
-    background photons."""
-    cum = np.cumsum(probs)
+    background photons.  The totals come out grouped by the drawn photon
+    number, not in trial order."""
+    # Inverse-CDF law of ``probs``: mass beyond the support (below the
+    # distribution tolerance) goes to the last entry, and a sum that rounds
+    # above 1 is cut off there.
+    cdf = np.minimum(np.cumsum(probs), 1.0)
+    cdf[-1] = 1.0
+    pvals = np.diff(cdf, prepend=0.0)
+    photons = np.arange(probs.size, dtype=np.int32)
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        n = _sample_inverse_cdf(rng, cum, size)
+        counts = rng.multinomial(size, pvals)
+        n = np.repeat(photons, counts)
         if eta < 1.0:
-            n = rng.binomial(n, eta)
-        if gamma > 0.0:
-            n += rng.poisson(gamma, size)
+            end = np.cumsum(counts)
+            for k in np.flatnonzero(counts[1:]) + 1:
+                n[end[k] - counts[k] : end[k]] = rng.binomial(k, eta, counts[k])
+        if 0.0 < gamma <= 1.0:
+            # Given their sum, Poisson(gamma) counts over ``size`` trials fall
+            # on the trials uniformly: memory stays O(size) while gamma <= 1.
+            hits = rng.integers(0, size, rng.poisson(gamma * size))
+            n += np.bincount(hits, minlength=size)
+        elif gamma > 1.0:
+            # int64 sum: a bright background can overflow int32 totals.
+            n = n + rng.poisson(gamma, size)
         n += offset
         return n
 

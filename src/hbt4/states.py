@@ -44,6 +44,17 @@ _RESCALE_AT = 2.0**128
 _LOG_RESCALE_AT = 128.0 * math.log(2.0)
 
 
+def _real(field: str, value) -> float:
+    """``value`` as a Python float; InvalidParameterError unless it is a
+    real number.  Python floats throughout: numpy scalars would run the
+    recurrence in numpy arithmetic, slower and rounded differently."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real):
+        raise InvalidParameterError(field, f"must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StateParams:
     """Squeezing magnitude ``r``, squeezing phase ``theta`` (radians) and
@@ -54,14 +65,8 @@ class StateParams:
     alpha: float
 
     def __post_init__(self):
-        # Python floats throughout: numpy scalars would run the recurrence
-        # in numpy arithmetic, slower and rounded differently.
         for name in ("r", "theta", "alpha"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                if not isinstance(value, numbers.Real):
-                    raise InvalidParameterError(name, f"must be a real number, got {value!r}")
-                object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not math.isfinite(self.r) or self.r < 0.0:
             raise InvalidParameterError("r", f"must be finite and >= 0, got {self.r}")
         if not math.isfinite(self.theta):
@@ -178,7 +183,7 @@ def coherent_distribution(alpha: float, tol: float = _DEFAULT_TOL) -> PhotonDist
 
 
 def _check_tol(tol: float) -> None:
-    if not (0.0 < tol <= 1e-6):
+    if not (0.0 < _real("tol", tol) <= 1e-6):
         raise InvalidParameterError("tol", f"must lie in (0, 1e-6], got {tol}")
 
 

@@ -50,7 +50,7 @@ from .clicks import (
 from .coherence import ideal_coherence
 from .detection import DetectionParams
 from .errors import Hbt4Error, InvalidParameterError, NoSignalError, UndefinedCoherenceError
-from .states import StateParams, packed_distributions, squeezed_distribution
+from .states import StateParams, _real, packed_distributions, squeezed_distribution
 
 PIPELINES = ("ideal", "click")
 PARAMETERS = ("r", "theta", "alpha", "eta", "gamma")
@@ -83,6 +83,8 @@ class SweepAxis:
             raise InvalidParameterError("axis.points", f"must be an integer, got {self.points!r}")
         if self.points < 2:
             raise InvalidParameterError("axis.points", "must be >= 2")
+        for name in ("start", "stop"):
+            object.__setattr__(self, name, _real("axis.bounds", getattr(self, name)))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise InvalidParameterError("axis.bounds", "must be finite")
         if self.start > self.stop:
@@ -307,7 +309,7 @@ def _coarse_grid(
     """The coarse search grid over ``bounds`` and whether it is log-spaced."""
     if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 3:
         raise InvalidParameterError("coarse_points", f"must be an integer >= 3, got {points!r}")
-    lo, hi = bounds
+    lo, hi = (_real("bounds", b) for b in bounds)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidParameterError("bounds", "must be finite with lower < upper")
     log_scale = parameter in _LOG_PARAMS

@@ -226,7 +226,8 @@ class TestFigure:
     @pytest.mark.parametrize(
         "override",
         ["orders=2", "orders=[]", "orders=[2,2]", "orders=[5]", "coarse_points=1",
-         "coarse_points=2.5", "gamma_points=2.5"],
+         "coarse_points=2.5", "gamma_points=2.5", 'alpha_min="x"', "alpha_max=[1]",
+         'eta_min="x"'],
     )
     def test_bad_minimum_map_override_is_config_error(self, capsys, tmp_path, override):
         code, _, err = run_cli(
@@ -254,6 +255,11 @@ class TestFigure:
             ("fig6", "states={}"),
             ("fig6", 'states={"g2": [0.001]}'),
             ("fig6", "eta=[1]"),
+            ("fig3", 'r_min="x"'),
+            ("fig3", "alpha_max=null"),
+            ("fig5", 'r_max="x"'),
+            ("fig6", 'theta_min="x"'),
+            ("fig2map", 'alpha_min="x"'),
         ],
     )
     def test_bad_family_override_is_config_error(self, capsys, tmp_path, preset, override):
@@ -418,6 +424,18 @@ class TestConfigRoundTrip:
         code, _, err = run_cli(capsys, "point", "--config", str(config_path))
         assert code == 2
         assert f"{field}: must be a real number" in err
+
+    @pytest.mark.parametrize("command", ["point", "mc", "extremum", "sweep"])
+    def test_non_numeric_tol_in_config_is_config_error(self, capsys, tmp_path, command):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps({
+            "schema_version": 1, "tol": "x", "pipeline": "click", "trials": 10,
+            "axes": [{"name": "alpha", "min": 0.1, "max": 1.0, "points": 3}],
+        }))
+        code, _, err = run_cli(capsys, command, "--config", str(config_path))
+        assert code == 2
+        assert "tol: must be a real number" in err
+        assert "Traceback" not in err
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         config_path = tmp_path / "base.json"

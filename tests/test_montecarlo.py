@@ -264,6 +264,34 @@ class TestSampler:
         np.testing.assert_array_equal(result.click_histogram, [0, 0, 0, 0, trials])
         assert peak < 200 * trials
 
+    @pytest.mark.parametrize("gamma", [1.0, 5.0])
+    def test_bright_field_background_memory_is_bounded_by_trials(self, gamma):
+        # gamma = 1 is the largest background scattered from one Poisson
+        # total; above it every trial draws its own Poisson count.
+        trials = 1 << 14
+        config = McConfig(
+            trials=trials,
+            seed=6,
+            source=fock_distribution(2000),
+            detection=DetectionParams(eta=0.5, gamma=gamma),
+        )
+        tracemalloc.start()
+        try:
+            result = run_mc(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(result.click_histogram, [0, 0, 0, 0, trials])
+        assert peak < 200 * trials
+
+    def test_source_summing_slightly_above_one_runs(self):
+        # PhotonDistribution accepts sums within 1e-9 of 1; numpy's
+        # multinomial refuses pvals[:-1] summing above 1 + 1e-12.
+        source = PhotonDistribution(np.array([0.3, 0.7 + 5e-10, 1e-20]), 0.0)
+        for condition in (0, 1):
+            config = McConfig(trials=1000, seed=1, source=source, condition_min_photons=condition)
+            assert run_mc(config).click_histogram.sum() == 1000
+
     @pytest.mark.parametrize("condition", [0, 2])
     @pytest.mark.parametrize("trials", [3, _CHUNK - 1, _CHUNK + 7])
     def test_histogram_sums_to_trials_across_chunks(self, trials, condition):
@@ -275,6 +303,57 @@ class TestSampler:
             condition_min_photons=condition,
         )
         assert run_mc(config).click_histogram.sum() == trials
+
+
+def assert_totals_follow(draw, expected: np.ndarray, seed: int) -> None:
+    """Totals of 16 chunks (2^22 trials) from ``draw``: none where
+    ``expected`` has no mass, and within 5 sigma of it in every bin
+    expecting more than 20 trials."""
+    chunks = 16
+    hist = np.zeros(expected.size, dtype=np.int64)
+    for chunk in range(chunks):
+        totals = draw(montecarlo._rng(seed, 0, chunk), _CHUNK)
+        assert totals.size == _CHUNK
+        hist += np.bincount(totals, minlength=expected.size)[: expected.size]
+    trials = chunks * _CHUNK
+    assert hist.sum() == trials
+    assert hist[expected == 0.0].sum() == 0
+    mean = trials * expected
+    sigma = np.sqrt(mean * (1.0 - expected))
+    checked = mean > 20.0
+    assert checked.sum() >= 3
+    pulls = np.abs(hist - mean)[checked] / sigma[checked]
+    assert pulls.max() <= 5.0, pulls
+
+
+class TestSamplerLaw:
+    """Each chunk is drawn as counts (one multinomial over the photon
+    numbers, one binomial per photon-number group, one scattered Poisson
+    total): the totals must still follow ``apply_detection``."""
+
+    SOURCE = StateParams(r=0.3, theta=0.7, alpha=1.0)
+
+    @pytest.mark.parametrize(
+        "eta, gamma", [(0.6, 0.0), (1.0, 0.3), (0.6, 0.2), (0.4, 1.0), (0.7, 2.5)]
+    )
+    def test_full_chain_totals_follow_the_detected_distribution(self, eta, gamma):
+        source = squeezed_distribution(self.SOURCE)
+        expected = apply_detection(source, DetectionParams(eta=eta, gamma=gamma)).probs
+        draw = montecarlo._sampler(source.probs, eta=eta, gamma=gamma)
+        assert_totals_follow(draw, expected, seed=int(100 * eta + 10 * gamma))
+
+    def test_offset_stratum_totals_follow_the_conditioned_distribution(self):
+        source = squeezed_distribution(self.SOURCE)
+        probs = apply_detection(source, DetectionParams(eta=0.6, gamma=0.2)).probs
+        k = 3
+        tail = probs[k:] / probs[k:].sum()
+        draw = montecarlo._sampler(tail, offset=k)
+        assert_totals_follow(draw, np.concatenate([np.zeros(k), tail]), seed=17)
+
+    def test_tail_beyond_the_support_goes_to_the_last_entry(self):
+        probs = np.array([0.5, 0.25, 0.125])
+        draw = montecarlo._sampler(probs)
+        assert_totals_follow(draw, np.array([0.5, 0.25, 0.25]), seed=18)
 
 
 class TestCoherenceGradients:
@@ -301,6 +380,23 @@ class TestConfigValidation:
     def test_requires_source_or_state(self):
         with pytest.raises(InvalidParameterError):
             McConfig(trials=10, seed=0)
+
+    def test_rejects_both_source_and_state(self):
+        with pytest.raises(InvalidParameterError, match="state"):
+            McConfig(
+                trials=10, seed=0, state=StateParams(r=0.1, theta=0.0, alpha=1.0),
+                source=fock_distribution(1),
+            )
+
+    @pytest.mark.parametrize("detection", [None, (0.5, 0.1), {"eta": 0.5, "gamma": 0.1}])
+    def test_rejects_detection_of_another_type(self, detection):
+        with pytest.raises(InvalidParameterError, match="detection"):
+            McConfig(trials=10, seed=0, source=fock_distribution(1), detection=detection)
+
+    @pytest.mark.parametrize("tol", ["x", None, 0.0, 1e-3])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(InvalidParameterError, match="tol"):
+            McConfig(trials=10, seed=0, source=fock_distribution(1), tol=tol)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(InvalidParameterError):

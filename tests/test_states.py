@@ -89,6 +89,9 @@ class TestCoherentDistribution:
             coherent_distribution(1.0, tol=0.0)
         with pytest.raises(InvalidParameterError):
             coherent_distribution(1.0, tol=1e-5)
+        for tol in ("x", None, 1e-9j, [1e-9]):
+            with pytest.raises(InvalidParameterError, match="tol: must be a real number"):
+                coherent_distribution(1.0, tol=tol)
 
 
 class TestSqueezedDistribution:
@@ -252,6 +255,8 @@ class TestPackedDistributions:
             packed_distributions([])
         with pytest.raises(InvalidParameterError):
             packed_distributions([VACUUM], tol=1e-5)
+        with pytest.raises(InvalidParameterError, match="tol"):
+            packed_distributions([VACUUM], tol="x")
 
     def test_peak_memory_of_a_full_grid_stays_within_its_bound(self):
         # The bound stated with sweep._GRID_COLUMNS: 12 MB at supports of

@@ -136,6 +136,14 @@ class TestSweep:
             SweepAxis("alpha", 1.0, 0.5, 5)
         with pytest.raises(InvalidParameterError):
             SweepAxis("alpha", 0.0, 1.0, 5, "log")
+        for start, stop in (("x", 1.0), (0.0, "1"), (None, 1.0), (0.0, 1j), (0.0, [1.0])):
+            with pytest.raises(InvalidParameterError, match="axis.bounds"):
+                SweepAxis("alpha", start, stop, 5)
+
+    def test_axis_bounds_cast_to_float(self):
+        axis = SweepAxis("alpha", 0, np.float32(0.5), 3)
+        assert type(axis.start) is float and type(axis.stop) is float
+        np.testing.assert_array_equal(axis.grid(), [0.0, 0.25, 0.5])
         with pytest.raises(InvalidParameterError):
             SweepSpec(axes=(), state=StateParams(r=0.0, theta=0.0, alpha=1.0))
 
@@ -405,6 +413,14 @@ class TestFindExtremum:
         state = StateParams(r=0.001, theta=0.0, alpha=0.0)
         with pytest.raises(InvalidParameterError):
             find_extremum(2, "alpha", (1e-3, 1.0), state, coarse_points=coarse_points)
+
+    @pytest.mark.parametrize("bounds", [("x", 1.0), (1e-3, "1"), (None, 1.0), (1e-3, 1j)])
+    def test_rejects_bounds_that_are_not_real_numbers(self, bounds):
+        state = StateParams(r=0.001, theta=0.0, alpha=0.0)
+        with pytest.raises(InvalidParameterError, match="bounds"):
+            find_extremum(2, "alpha", bounds, state)
+        with pytest.raises(InvalidParameterError, match="bounds"):
+            minimized_maps((2,), GAMMAS, ETAS, state, alpha_bounds=bounds)
 
     @pytest.mark.parametrize("bracket_tol", [0.0, -1e-4, math.nan, math.inf, "1e-4"])
     def test_rejects_bracket_tolerance_not_finite_positive(self, bracket_tol):
