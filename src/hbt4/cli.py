@@ -21,9 +21,9 @@ import os
 import sys
 from pathlib import Path
 
-from .clicks import click_coherence, click_probabilities
+from .clicks import click_coherence, click_probabilities, coherence_from_clicks, detected_clicks
 from .coherence import factorial_moments, fourth_order_report, ideal_coherence
-from .detection import DetectionParams, apply_detection
+from .detection import DetectionParams, apply_detection, noise_kernel_length
 from .errors import (
     Hbt4Error,
     InternalInvariantError,
@@ -270,9 +270,10 @@ def cmd_point(config: RunConfig) -> int:
     state = _state(config)
     detection = _detection(config)
     dist = squeezed_distribution(state, config.tol)
-    transformed = apply_detection(dist, detection)
-    clicks = click_probabilities(transformed)
-    click_triple = click_coherence(transformed)
+    clicks = detected_clicks(dist, detection)
+    click_triple = coherence_from_clicks(clicks)
+    # The noise convolution of the reference chain widens the support by this.
+    noise_support = noise_kernel_length(detection.gamma) if detection.gamma > 0.0 else 0
     ideal_triple = ideal_coherence(state)
     moments = factorial_moments(dist)
     g4_trusted, g4_variant, g4_rel = fourth_order_report(state)
@@ -291,7 +292,7 @@ def cmd_point(config: RunConfig) -> int:
         "diagnostics": {
             "support": len(dist),
             "tail_mass": dist.tail_mass,
-            "transformed_support": len(transformed),
+            "transformed_support": len(dist) + noise_support,
             "click_defect": clicks.defect,
         },
     }

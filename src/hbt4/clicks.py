@@ -12,9 +12,11 @@ the O(L^3) reference path the closed form is validated against.
 For a fixed detector (eta, gamma) the whole chain, occupancy after noise
 after loss, is one linear map from photon numbers before detection to the
 five click probabilities.  ``_click_operator`` builds that 5 x n matrix
-from the same positive pieces (occupancy rows, a correlation with the
-Poisson noise kernel, a de Casteljau pass for the binomial loss) and
-keeps the operator of the last detector asked for, so that a state costs
+photon by photon: row 0 is the click distribution of the Poisson noise
+alone, and each further photon is lost or lands on one of the four
+detectors, which moves the distribution one step of the on/off click
+model of Sperling, Vogel & Agarwal, PRA 85, 023820 (2012), in O(n).  The
+operator of the last detector asked for is kept, so that a state costs
 one matrix-vector product, and a grid of states packed as matrix columns
 one matrix product.  Column n is the click distribution of exactly
 n photons, whatever the support it is used with.  The per-distribution
@@ -82,13 +84,6 @@ class CoherenceTriple:
 # one entry serves them.
 _last_operator: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
 
-# Every _FLUSH_EVERY loss steps, operator entries below _NEGLIGIBLE are set
-# to 0.  That moves no click probability by more than about 1e-249, while
-# left alone such entries decay into subnormal numbers, whose arithmetic
-# made a 4097-column build about six times slower.
-_NEGLIGIBLE = 1e-250
-_FLUSH_EVERY = 16
-
 
 @functools.lru_cache(maxsize=None)
 def _occupancy_rows(size: int) -> np.ndarray:
@@ -124,41 +119,38 @@ def _build_click_operator(eta: float, gamma: float, width: int) -> tuple[np.ndar
     """``width`` x 5 click operator, one row per photon number before
     detection, and the noise-kernel tail.
 
-    Occupancy rows over width + K photon numbers, K the noise-kernel
-    length, in a valid correlation with the Poisson kernel give the clicks
-    of m photons after noise; a de Casteljau pass then averages them over
-    the Binomial(n, eta) survivors: after step k, row 0 of the working
-    array is row k of the operator.  Every step is a convex combination of
-    non-negative numbers, so nothing cancels, and every entry is computed
-    elementwise (negligible ones flushed to 0 at fixed steps), so a row
-    does not depend on ``width``.
+    Row 0 is the click distribution of the noise alone: the occupancy rows
+    of k photons weighted by the Poisson kernel.  Row n + 1 is row n after
+    one more photon, in two sub-steps: with j detectors fired, a landing
+    photon leaves j fired with probability j/4 and fires a new one with
+    probability (4 - j)/4 (exact dyadic weights), and the photon lands
+    with probability eta or is lost with probability 1 - eta.  Every step
+    is a convex combination of non-negative numbers, so nothing cancels;
+    the build costs O(width), and row n does not depend on ``width``.
     """
     if gamma == 0.0:
-        noisy, kernel_tail = _occupancy_table(width).copy(), 0.0
+        row, kernel_tail = (1.0, 0.0, 0.0, 0.0, 0.0), 0.0
     else:
         kernel, kernel_tail = _noise_kernel(gamma)
-        occupancy = _occupancy_table(width + kernel.size - 1)
-        noisy = kernel[0] * occupancy[:width]
+        occupancy = _occupancy_table(kernel.size)
+        noise = kernel[0] * occupancy[0]
         for k in range(1, kernel.size):
-            noisy += kernel[k] * occupancy[k : k + width]
-    if eta == 1.0:
-        op = noisy
-    elif eta == 0.0:
-        op = np.repeat(noisy[:1], width, axis=0)
-    else:
-        keep = 1.0 - eta
-        op = np.empty_like(noisy)
-        op[0] = noisy[0]
-        survivors = np.empty_like(noisy)
-        for k in range(1, width):
-            rest = width - k
-            np.multiply(noisy[1 : rest + 1], eta, out=survivors[:rest])
-            noisy[:rest] *= keep
-            noisy[:rest] += survivors[:rest]
-            op[k] = noisy[0]
-            if k % _FLUSH_EVERY == 0:
-                head = noisy[:rest]
-                head[head < _NEGLIGIBLE] = 0.0
+            noise += kernel[k] * occupancy[k]
+        row = noise.tolist()
+    keep = 1.0 - eta
+    a0, a1, a2, a3, a4 = row
+    entries = list(row)
+    for _ in range(1, width):
+        b1 = 0.25 * a1 + a0
+        b2 = 0.5 * a2 + 0.75 * a1
+        b3 = 0.75 * a3 + 0.5 * a2
+        b4 = a4 + 0.25 * a3
+        # Folding eta into the landing weights would round them, and the
+        # rows would drift by about 1e-14 relative over a few hundred steps.
+        a0, a1, a2 = keep * a0, keep * a1 + eta * b1, keep * a2 + eta * b2
+        a3, a4 = keep * a3 + eta * b3, keep * a4 + eta * b4
+        entries += (a0, a1, a2, a3, a4)
+    op = np.array(entries).reshape(width, N_DETECTORS + 1)
     op.setflags(write=False)
     return op, kernel_tail
 

@@ -50,7 +50,7 @@ from .clicks import (
 from .coherence import ideal_coherence
 from .detection import DetectionParams
 from .errors import Hbt4Error, InvalidParameterError, NoSignalError, UndefinedCoherenceError
-from .states import StateParams, _real, packed_distributions, squeezed_distribution
+from .states import StateParams, _check_tol, _real, packed_distributions, squeezed_distribution
 
 PIPELINES = ("ideal", "click")
 PARAMETERS = ("r", "theta", "alpha", "eta", "gamma")
@@ -114,6 +114,7 @@ class SweepSpec:
             raise InvalidParameterError("axes", "need 1 or 2 axes")
         _check_pipeline(self.pipeline)
         _check_orders(self.orders)
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -253,17 +254,22 @@ def _evaluate(
     """The coherence of every (state, detection) point, or the message of
     the error ``evaluate_point`` raises there.  Click points are evaluated
     by detector: the states that share one (eta, gamma) take one
-    ``_click_grid`` product per ``_GRID_COLUMNS``."""
+    ``_click_grid`` product per ``_GRID_COLUMNS``; a group that packs the
+    same states as the one before, as every group of an eta or gamma grid
+    does, reuses its matrix."""
     if pipeline == "ideal":
         return [_point_result(state, detection, pipeline, tol) for state, detection in points]
     by_detector: dict[DetectionParams, list[int]] = {}
     for i, (_, detection) in enumerate(points):
         by_detector.setdefault(detection, []).append(i)
     results: list = [None] * len(points)
+    packed_states = None
     for detection, indices in by_detector.items():
         for start in range(0, len(indices), _GRID_COLUMNS):
             chunk = indices[start : start + _GRID_COLUMNS]
-            packed = packed_distributions([points[i][0] for i in chunk], tol)
+            states = [points[i][0] for i in chunk]
+            if states != packed_states:
+                packed_states, packed = states, packed_distributions(states, tol)
             for i, result in zip(chunk, _click_grid(packed, detection)):
                 results[i] = result
     return results
@@ -394,6 +400,7 @@ def find_extremum(
     if mode not in ("min", "max"):
         raise InvalidParameterError("mode", f"must be min or max, got {mode}")
     _check_pipeline(pipeline)
+    _check_tol(tol)
     if not (isinstance(bracket_tol, numbers.Real) and 0.0 < bracket_tol < math.inf):
         raise InvalidParameterError("bracket_tol", f"must be finite and > 0, got {bracket_tol!r}")
     grid, log_scale = _coarse_grid(parameter, bounds, coarse_points)

@@ -3,7 +3,15 @@ import math
 
 import pytest
 
+from hbt4 import (
+    DetectionParams,
+    StateParams,
+    apply_detection,
+    evaluate_point,
+    squeezed_distribution,
+)
 from hbt4.cli import main
+from hbt4.clicks import detected_clicks
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +67,30 @@ class TestPoint:
         code, _, err = run_cli(capsys, "point", "--r", "-1")
         assert code == 2
         assert "r" in err
+
+    @pytest.mark.parametrize("gamma", ["0", "1e-5", "2.5"])
+    def test_click_numbers_are_the_sweep_point(self, capsys, gamma):
+        code, out, _ = run_cli(
+            capsys,
+            "point",
+            "--r", "0.3", "--theta", "0.7", "--alpha", "1.2",
+            "--eta", "0.6", "--gamma", gamma,
+            "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        state = StateParams(r=0.3, theta=0.7, alpha=1.2)
+        detection = DetectionParams(eta=0.6, gamma=float(gamma))
+        triple = evaluate_point(state, detection, "click")
+        assert report["click"] == {
+            "g2": triple.g2, "g3": triple.g3, "g4": triple.g4, "mean_clicks": triple.mean_clicks
+        }
+        dist = squeezed_distribution(state)
+        clicks = detected_clicks(dist, detection)
+        assert report["click_probabilities"] == clicks.probs.tolist()
+        assert report["diagnostics"]["click_defect"] == clicks.defect
+        transformed = apply_detection(dist, detection)
+        assert report["diagnostics"]["transformed_support"] == len(transformed)
 
     def test_vacuum_is_no_signal(self, capsys):
         code, _, err = run_cli(capsys, "point", "--r", "0", "--alpha", "0")
@@ -436,6 +468,27 @@ class TestConfigRoundTrip:
         assert code == 2
         assert "tol: must be a real number" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("pipeline", ["ideal", "click"])
+    @pytest.mark.parametrize("command", ["extremum", "sweep"])
+    @pytest.mark.parametrize(
+        "tol, message",
+        [("x", "tol: must be a real number"), (0.5, "tol: must lie in (0, 1e-6]")],
+        ids=["non-numeric", "out-of-range"],
+    )
+    def test_bad_tol_is_config_error_on_both_pipelines(
+        self, capsys, tmp_path, pipeline, command, tol, message
+    ):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps({
+            "schema_version": 1, "tol": tol, "pipeline": pipeline,
+            "axes": [{"name": "alpha", "min": 0.1, "max": 1.0, "points": 3}],
+        }))
+        code, out, err = run_cli(capsys, command, "--config", str(config_path))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         config_path = tmp_path / "base.json"

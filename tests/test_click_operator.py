@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from hbt4 import (
 )
 from hbt4 import clicks
 from hbt4.clicks import _click_operator, detected_clicks
+from hbt4.detection import _noise_kernel
 
 DETECTIONS = [
     DetectionParams(eta=1.0, gamma=0.0),
@@ -133,6 +135,40 @@ def test_the_kept_operator_is_read_only_and_grows_geometrically():
     _click_operator(0.7, 1e-5, 5)
     assert list(clicks._last_operator) == [(0.7, 1e-5)]
     assert len(clicks._last_operator[0.7, 1e-5][0]) == 5
+
+
+def _exact_operator(eta: float, gamma: float, width: int) -> list[list[Fraction]]:
+    """The rows of the click operator in exact rational arithmetic: the
+    occupancy of k photons by inclusion-exclusion, weighted by the float
+    noise kernel, then one photon at a time lost with probability
+    1 - eta or landing on one of the four detectors."""
+    kernel = _noise_kernel(gamma)[0].tolist() if gamma > 0.0 else [1.0]
+    row = [Fraction(0)] * 5
+    for k, weight in enumerate(kernel):
+        for j in range(5):
+            occupied = sum(
+                (-1) ** i * math.comb(j, i) * Fraction(j - i, 4) ** k for i in range(j + 1)
+            )
+            row[j] += Fraction(weight) * math.comb(4, j) * occupied
+    land, keep = Fraction(eta), Fraction(1.0 - eta)
+    rows = [row]
+    for _ in range(1, width):
+        landed = [Fraction(0)] + [
+            Fraction(j, 4) * row[j] + Fraction(5 - j, 4) * row[j - 1] for j in range(1, 5)
+        ]
+        row = [keep * a + land * b for a, b in zip(row, landed)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("eta, gamma", [(0.5, 1e-5), (0.9, 1e-3), (0.37, 2.5), (1.0, 0.0)])
+def test_operator_matches_exact_rational_recurrence(eta, gamma):
+    width = 151
+    op, _ = _click_operator(eta, gamma, width)
+    for n, row in enumerate(_exact_operator(eta, gamma, width)):
+        for j, exact in enumerate(row):
+            if exact >= Fraction(1e-250):
+                assert abs(Fraction(float(op[j, n])) - exact) <= Fraction(5e-15) * exact
 
 
 def test_import_does_not_load_scipy():

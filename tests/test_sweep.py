@@ -213,6 +213,31 @@ class TestGridEvaluation:
         # One packed product per detector.
         assert len(grids) == len(set(grids)) == 4
 
+    def test_states_shared_by_detectors_are_packed_once(self, monkeypatch):
+        packed_states = []
+        build_grid = sweep_module.packed_distributions
+
+        def counted_grid(states, tol=1e-12):
+            packed_states.extend(states)
+            return build_grid(states, tol)
+
+        monkeypatch.setattr(sweep_module, "packed_distributions", counted_grid)
+        sweep(
+            SweepSpec(
+                (SweepAxis("alpha", 1e-3, 1.0, 13, "log"), SweepAxis("eta", 0.1, 1.0, 4)),
+                StateParams(r=0.01, theta=0.0, alpha=0.0),
+                DetectionParams(gamma=1e-4),
+                pipeline="click",
+            )
+        )
+        # 13 states, not one packing per detector.
+        assert len(packed_states) == len(set(packed_states)) == 13
+        state = StateParams(1e-3, 0.0, 0.03)
+        for parameter, bounds in (("eta", (0.1, 1.0)), ("gamma", (1e-9, 1e-2))):
+            packed_states.clear()
+            find_extremum(2, parameter, bounds, state, DetectionParams(1.0, 1e-5), pipeline="click")
+            assert packed_states == [state]
+
     @pytest.mark.parametrize(
         "axes",
         [
