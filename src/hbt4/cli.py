@@ -21,9 +21,9 @@ import os
 import sys
 from pathlib import Path
 
-from .clicks import click_coherence, click_probabilities, coherence_from_clicks, detected_clicks
+from .clicks import coherence_from_clicks, detected_clicks
 from .coherence import factorial_moments, fourth_order_report, ideal_coherence
-from .detection import DetectionParams, apply_detection, noise_kernel_length
+from .detection import DetectionParams, noise_kernel_length
 from .errors import (
     Hbt4Error,
     InternalInvariantError,
@@ -409,9 +409,8 @@ def cmd_mc(config: RunConfig) -> int:
     )
     result = run_mc(mc_config)
     base = source if source is not None else squeezed_distribution(state, config.tol)
-    transformed = apply_detection(base, mc_config.detection)
-    expected_clicks = click_probabilities(transformed)
-    expected = click_coherence(transformed)
+    expected_clicks = detected_clicks(base, mc_config.detection)
+    expected = coherence_from_clicks(expected_clicks)
     click_pulls = [
         _pull(est, se, float(det))
         for est, se, det in zip(result.gamma_hat, result.gamma_se, expected_clicks.probs)

@@ -20,10 +20,11 @@ raises there.  The per-distribution chain,
 ``clicks.click_coherence(apply_detection(...))``, is the reference of both.
 
 Extremum searches run a coarse grid (log-spaced for amplitude-like
-parameters) followed by golden-section refinement inside the bracket
-around the best coarse sample; an undefined point scores +inf.  Minimized
-maps share one coarse amplitude grid: its states are built once per map,
-each (gamma, eta) cell fetches its click operator once and evaluates every
+parameters) followed by Brent's method inside the bracket around the best
+coarse sample, seeded by that sample and its two neighbours, whose values
+the grid already has; an undefined point scores +inf.  Minimized maps
+share one coarse amplitude grid: its states are built once per map, each
+(gamma, eta) cell fetches its click operator once and evaluates every
 coarse state against it, and every order is refined from those values
 inside the cell.
 """
@@ -60,8 +61,9 @@ _STATE_PARAMETERS = frozenset({"r", "theta", "alpha"})
 # at small amplitudes and noise spans decades.
 _LOG_PARAMS = frozenset({"r", "alpha", "gamma"})
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_TOL = 1e-4
+# The golden-section fraction of a bracket, (3 - sqrt 5) / 2.
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+_BRACKET_TOL = 3e-7
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,13 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class ExtremumResult:
+    """One extremum of g^(order) along ``parameter``.  ``bracket_width`` is
+    the width of the bracket that Brent's method ended with, at most four
+    times ``bracket_tol``: in log units on log-spaced grids, relative to
+    the larger bound magnitude of the first bracket on linear ones.  It is
+    NaN when ``boundary`` is set: the best coarse sample sits on a bound
+    and is returned unrefined."""
+
     parameter: str
     location: float
     value: float
@@ -325,7 +334,7 @@ def _coarse_grid(
     return grid, log_scale
 
 
-def _golden_section(
+def _refine_minimum(
     objective: Callable[[float], float],
     grid: np.ndarray,
     values: np.ndarray,
@@ -334,43 +343,81 @@ def _golden_section(
 ) -> tuple[float, float, float, bool]:
     """Minimize ``objective`` from its ``values`` on the coarse ``grid``.
 
-    Golden-section search shrinks the bracket between the neighbours of
-    the best coarse sample to a relative width of ``bracket_tol``, in log
-    space for log-spaced grids.  Ties on the grid resolve to the smallest
-    parameter value.  A best sample on a bound is returned as it is.
-    Returns (location, value, bracket width, on a bound).
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5) inside the bracket between the neighbours of
+    the best coarse sample, in log space for log-spaced grids: a parabola
+    through the best three points so far, or a golden-section step where
+    the parabola is unsafe.  It starts from the coarse triple, whose values
+    are known, so the first step can already be parabolic; a point that
+    scores +inf enters no parabola.  It stops once both ends of the
+    bracket lie within 2 ``bracket_tol`` of the best point (relative to
+    the larger bound magnitude on linear grids).  Ties on the grid resolve
+    to the smallest parameter value; the result is never worse than the
+    best coarse sample.  A best sample on a bound is returned as it is.
+    Returns (location, value, final bracket width, on a bound).
     """
     if not np.any(np.isfinite(values)):
         raise Hbt4Error("extremum search failed: no finite objective value on the coarse grid")
     best = int(np.nanargmin(np.where(np.isfinite(values), values, np.inf)))
     if best == 0 or best == grid.size - 1:
         return float(grid[best]), float(values[best]), math.nan, True
-    if log_scale:
-        to_x, from_x = math.log, math.exp
-    else:
-        to_x, from_x = (lambda v: v), (lambda v: v)
-    a, b = to_x(float(grid[best - 1])), to_x(float(grid[best + 1]))
-    scale = max(abs(a), abs(b), 1e-30) if not log_scale else 1.0
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(from_x(c)), objective(from_x(d))
+    to_x, from_x = (math.log, math.exp) if log_scale else (float, float)
+    location = float(grid[best])
+    a, x, b = (to_x(float(g)) for g in grid[best - 1 : best + 2])
+    fa, fx, fb = values[best - 1 : best + 2].tolist()
+    # w holds the second best point so far and v the third.
+    (fw, w), (fv, v) = sorted([(fa, a), (fb, b)])
+    scale = 1.0 if log_scale else max(abs(a), abs(b), 1e-30)
+    tol = bracket_tol * scale
+    # Trial points are rounded to multiples of this grain, so that coarse
+    # values that differ in their last bits, as grid and single-point
+    # evaluations of one state do, still lead to the same points.
+    grain = tol / 4.0
+    # As if the two steps before had each spanned the bracket.
+    d = e = b - a
     for _ in range(200):
-        if (b - a) / scale <= bracket_tol:
+        if max(x - a, b - x) <= 2.0 * tol:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(from_x(c))
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > tol and math.isfinite(fv) and math.isfinite(fw):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # Accept the vertex only inside the bracket, and only if it
+            # moves less than half the step before last.
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                e, d = d, p / q
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+        if not parabolic:
+            e = a - x if x >= mid else b - x
+            d = _GOLDEN_STEP * e
+        u = grain * round((x + (d if abs(d) >= tol else math.copysign(tol, d))) / grain)
+        at_u = from_x(u)
+        fu = objective(at_u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw = w, fw, x, fx
+            x, fx, location = u, fu, at_u
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(from_x(d))
-    x = c if fc < fd else d
-    fx = min(fc, fd)
-    # Never report worse than the best coarse sample.
-    if float(values[best]) < fx:
-        x, fx = to_x(float(grid[best])), float(values[best])
-    return from_x(x), fx, (b - a) / scale, False
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return location, fx, (b - a) / scale, False
 
 
 def find_extremum(
@@ -388,9 +435,13 @@ def find_extremum(
     """Locate a single extremum of g^(order) along one parameter.
 
     A coarse scan (log-spaced for r, alpha and gamma) picks the best
-    sample; golden-section search then shrinks the bracket around it to a
-    relative width of ``bracket_tol``.  Ties on the coarse grid resolve to
-    the smallest parameter value.  An extremum sitting on a bound is
+    sample.  Brent's method then refines it between its two neighbours,
+    starting from the three coarse values, so its first step can already
+    be parabolic; it makes about 5 to 7 evaluations.  ``bracket_tol`` is
+    its location tolerance: in log units on log-spaced grids, relative to
+    the larger bracket bound on linear ones.  Ties on the coarse grid
+    resolve to the smallest parameter value, and the result is never worse
+    than the best coarse sample.  An extremum sitting on a bound is
     returned with ``boundary=True`` and no refinement.
     """
     if order not in (2, 3, 4):
@@ -413,7 +464,7 @@ def find_extremum(
 
     coarse = _evaluate(_points(state, detection, (parameter,), zip(grid.tolist())), pipeline, tol)
     values = np.array([_order_value(result, order, sign) for result in coarse])
-    location, value, width, boundary = _golden_section(
+    location, value, width, boundary = _refine_minimum(
         objective, grid, values, log_scale, bracket_tol
     )
     return ExtremumResult(
@@ -479,7 +530,7 @@ def minimized_maps(
                     return _order_value(result_at(alpha), order)
 
                 values = np.array([_order_value(result, order) for result in results])
-                location, value, _, _ = _golden_section(objective, grid, values, True, _BRACKET_TOL)
+                location, value, _, _ = _refine_minimum(objective, grid, values, True, _BRACKET_TOL)
                 # A minimum on a coarse sample takes its mean from the
                 # one-state product, as at the refinement points.
                 at_min = refined.get(location) or evaluate_point(

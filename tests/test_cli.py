@@ -363,6 +363,26 @@ class TestMc:
             }
         assert report["coherence"]["g2"]["deterministic"] == pytest.approx(0.75 / 1.75**2 * 8 / 3)
 
+    @pytest.mark.parametrize("gamma", ["0", "1e-5", "2.5"])
+    def test_deterministic_numbers_are_the_sweep_point(self, capsys, gamma):
+        code, out, _ = run_cli(
+            capsys,
+            "mc",
+            "--r", "0.3", "--theta", "0.7", "--alpha", "1.2",
+            "--eta", "0.6", "--gamma", gamma,
+            "--trials", "1000", "--seed", "1", "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        state = StateParams(r=0.3, theta=0.7, alpha=1.2)
+        detection = DetectionParams(eta=0.6, gamma=float(gamma))
+        clicks = detected_clicks(squeezed_distribution(state), detection)
+        assert report["deterministic_click_probabilities"] == clicks.probs.tolist()
+        triple = evaluate_point(state, detection, "click")
+        assert {k: c["deterministic"] for k, c in report["coherence"].items()} == {
+            "g2": triple.g2, "g3": triple.g3, "g4": triple.g4
+        }
+
     def test_json_report_is_strict_json_when_a_rare_count_is_unobserved(self, capsys):
         # At the paper's weak regime G_4 ~ 1e-17 is never observed: its
         # standard error is 0 and its pull infinite, which strict JSON
