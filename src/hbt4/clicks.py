@@ -12,15 +12,17 @@ the O(L^3) reference path the closed form is validated against.
 For a fixed detector (eta, gamma) the whole chain, occupancy after noise
 after loss, is one linear map from photon numbers before detection to the
 five click probabilities.  ``_click_operator`` builds that 5 x n matrix
-photon by photon: row 0 is the click distribution of the Poisson noise
-alone, and each further photon is lost or lands on one of the four
-detectors, which moves the distribution one step of the on/off click
-model of Sperling, Vogel & Agarwal, PRA 85, 023820 (2012), in O(n).  The
-operator of the last detector asked for is kept, so that a state costs
-one matrix-vector product, and a grid of states packed as matrix columns
-one matrix product.  Column n is the click distribution of exactly
-n photons, whatever the support it is used with.  The per-distribution
-chain, ``click_probabilities`` of ``detection.apply_detection``, is its
+photon by photon.  Row 0 is the click distribution of the noise alone:
+each detector receives its own Poisson(gamma / 4) share of the
+background, so the number that fire is Binomial(4, 1 - exp(-gamma / 4)).
+Each further photon is lost or lands on one of the four detectors, which
+moves the distribution one step of the on/off click model of Sperling,
+Vogel & Agarwal, PRA 85, 023820 (2012), in O(n).  The operator of the
+last detector asked for is kept, so that a state costs one matrix-vector
+product, and a grid of states packed as matrix columns one matrix
+product.  Column n is the click distribution of exactly n photons,
+whatever the support it is used with.  The per-distribution chain,
+``click_probabilities`` of ``detection.apply_detection``, is its
 reference.
 """
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionParams, _noise_kernel
+from .detection import DetectionParams
 from .errors import InvalidParameterError, NoSignalError
 from .states import N_HARD_MAX, PhotonDistribution
 
@@ -78,11 +80,11 @@ class CoherenceTriple:
     mean_clicks: float
 
 
-# The click operator of the last detector asked for, and its kernel tail,
-# under its (eta, gamma): at most one entry.  Sweeps, extremum searches and
+# The click operator of the last detector asked for, under its
+# (eta, gamma): at most one entry.  Sweeps, extremum searches and
 # minimized-map cells evaluate their states at one detector in a row, so
 # one entry serves them.
-_last_operator: dict[tuple[float, float], tuple[np.ndarray, float]] = {}
+_last_operator: dict[tuple[float, float], np.ndarray] = {}
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,31 +117,25 @@ def click_probabilities(dist: PhotonDistribution) -> ClickDistribution:
     return ClickDistribution(probs=probs, defect=dist.tail_mass)
 
 
-def _build_click_operator(eta: float, gamma: float, width: int) -> tuple[np.ndarray, float]:
+def _build_click_operator(eta: float, gamma: float, width: int) -> np.ndarray:
     """``width`` x 5 click operator, one row per photon number before
-    detection, and the noise-kernel tail.
+    detection.
 
-    Row 0 is the click distribution of the noise alone: the occupancy rows
-    of k photons weighted by the Poisson kernel.  Row n + 1 is row n after
-    one more photon, in two sub-steps: with j detectors fired, a landing
-    photon leaves j fired with probability j/4 and fires a new one with
-    probability (4 - j)/4 (exact dyadic weights), and the photon lands
-    with probability eta or is lost with probability 1 - eta.  Every step
-    is a convex combination of non-negative numbers, so nothing cancels;
-    the build costs O(width), and row n does not depend on ``width``.
+    Row 0 is the click distribution of the noise alone, Binomial(4, q):
+    each detector receives its own Poisson(gamma / 4) share of the
+    background and fires with probability q = 1 - exp(-gamma / 4),
+    independently.  Row n + 1 is row n after one more photon, in two sub-steps: with j detectors fired, a
+    landing photon leaves j fired with probability j/4 and fires a new one
+    with probability (4 - j)/4 (exact dyadic weights), and the photon
+    lands with probability eta or is lost with probability 1 - eta.  Every
+    step is a convex combination of non-negative numbers, so nothing
+    cancels; the build costs O(width), and row n does not depend on
+    ``width``.
     """
-    if gamma == 0.0:
-        row, kernel_tail = (1.0, 0.0, 0.0, 0.0, 0.0), 0.0
-    else:
-        kernel, kernel_tail = _noise_kernel(gamma)
-        occupancy = _occupancy_table(kernel.size)
-        noise = kernel[0] * occupancy[0]
-        for k in range(1, kernel.size):
-            noise += kernel[k] * occupancy[k]
-        row = noise.tolist()
+    q, s = -math.expm1(-gamma / 4), math.exp(-gamma / 4)
+    entries = [math.comb(4, j) * q**j * s ** (4 - j) for j in range(5)]
     keep = 1.0 - eta
-    a0, a1, a2, a3, a4 = row
-    entries = list(row)
+    a0, a1, a2, a3, a4 = entries
     for _ in range(1, width):
         b1 = 0.25 * a1 + a0
         b2 = 0.5 * a2 + 0.75 * a1
@@ -152,13 +148,12 @@ def _build_click_operator(eta: float, gamma: float, width: int) -> tuple[np.ndar
         entries += (a0, a1, a2, a3, a4)
     op = np.array(entries).reshape(width, N_DETECTORS + 1)
     op.setflags(write=False)
-    return op, kernel_tail
+    return op
 
 
-def _click_operator(eta: float, gamma: float, n: int) -> tuple[np.ndarray, float]:
+def _click_operator(eta: float, gamma: float, n: int) -> np.ndarray:
     """5 x ``n`` matrix whose column m is the click distribution of exactly
-    m photons before loss ``eta`` and noise ``gamma``, and the probability
-    mass the truncated noise kernel leaves out.
+    m photons before loss ``eta`` and noise ``gamma``.
 
     The operator of the last (eta, gamma) is kept and, when a larger ``n``
     is asked for, rebuilt at least twice as wide, up to N_HARD_MAX + 1.
@@ -166,24 +161,23 @@ def _click_operator(eta: float, gamma: float, n: int) -> tuple[np.ndarray, float
     never depend on what is kept.
     """
     key = (float(eta), float(gamma))
-    entry = _last_operator.get(key)
-    if entry is None or len(entry[0]) < n:
-        width = n if entry is None else max(n, min(2 * len(entry[0]), N_HARD_MAX + 1))
-        entry = _build_click_operator(*key, width)
+    op = _last_operator.get(key)
+    if op is None or len(op) < n:
+        width = n if op is None else max(n, min(2 * len(op), N_HARD_MAX + 1))
+        op = _build_click_operator(*key, width)
         _last_operator.clear()
-        _last_operator[key] = entry
-    op, kernel_tail = entry
-    return op[:n].T, kernel_tail
+        _last_operator[key] = op
+    return op[:n].T
 
 
 def detected_clicks(dist: PhotonDistribution, detection: DetectionParams) -> ClickDistribution:
     """Click probabilities of ``dist`` after the detection chain, by one
     product with the cached click operator.  Equals
     ``click_probabilities(apply_detection(dist, detection))`` up to
-    rounding, with the same defect."""
-    op, kernel_tail = _click_operator(detection.eta, detection.gamma, len(dist))
-    probs = np.maximum(op @ dist.probs, 0.0)
-    return ClickDistribution(probs=probs, defect=min(1.0, dist.tail_mass + kernel_tail))
+    rounding and the reference chain's truncated noise kernel; the defect
+    is the state's tail mass alone."""
+    op = _click_operator(detection.eta, detection.gamma, len(dist))
+    return ClickDistribution(probs=op @ dist.probs, defect=dist.tail_mass)
 
 
 @functools.lru_cache(maxsize=None)

@@ -228,8 +228,7 @@ def _click_grid(packed: np.ndarray, detection: DetectionParams) -> list[Coherenc
     one product with the click operator at the full width, then the
     coincidence ratios of all columns at once.  Where ``evaluate_point``
     raises NoSignalError, the column gives that error's message instead."""
-    op, _ = _click_operator(detection.eta, detection.gamma, packed.shape[0])
-    probs = np.maximum(op @ packed, 0.0)
+    probs = _click_operator(detection.eta, detection.gamma, packed.shape[0]) @ packed
     mean = _CLICK_NUMBERS @ probs
     means = mean.tolist()
     reasons = [_no_signal(n) for n in means]

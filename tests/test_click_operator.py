@@ -1,5 +1,7 @@
 """The cached click operator against the per-distribution reference chain
-(loss, noise, occupancy), and the package's import footprint."""
+(loss, noise, occupancy) and an exact-rational recurrence, the click g2
+and g4 of independently firing detectors, and the package's import
+footprint."""
 
 import math
 import os
@@ -16,16 +18,18 @@ import hbt4
 from hbt4 import (
     DetectionParams,
     StateParams,
+    SweepAxis,
+    SweepSpec,
     apply_detection,
     click_coherence,
     click_probabilities,
     evaluate_point,
     fock_distribution,
     squeezed_distribution,
+    sweep,
 )
 from hbt4 import clicks
 from hbt4.clicks import _click_operator, detected_clicks
-from hbt4.detection import _noise_kernel
 
 DETECTIONS = [
     DetectionParams(eta=1.0, gamma=0.0),
@@ -53,18 +57,18 @@ def _seeded_points(seed: int, count: int, alpha_range: tuple[float, float]):
 
 @pytest.mark.parametrize("det", DETECTIONS, ids=lambda d: f"eta={d.eta},gamma={d.gamma}")
 def test_column_n_is_the_click_distribution_of_n_photons(det):
-    op, kernel_tail = _click_operator(det.eta, det.gamma, 41)
+    op = _click_operator(det.eta, det.gamma, 41)
     assert op.shape == (5, 41)
     for n in range(41):
         ref = click_probabilities(apply_detection(fock_distribution(n), det))
         np.testing.assert_allclose(op[:, n], ref.probs, rtol=0.0, atol=1e-14)
-        assert kernel_tail == ref.defect
 
 
 def _assert_matches_reference(state, detection):
     dist = squeezed_distribution(state)
     ref_clicks = click_probabilities(apply_detection(dist, detection))
-    assert detected_clicks(dist, detection).defect == ref_clicks.defect
+    assert detected_clicks(dist, detection).defect == dist.tail_mass
+    assert ref_clicks.defect >= dist.tail_mass
     got = evaluate_point(state, detection, "click")
     ref = click_coherence(apply_detection(dist, detection))
     for a, b in zip(
@@ -103,9 +107,10 @@ def test_strong_points_match_the_reference_chain(seed):
 
 
 @pytest.mark.parametrize("gamma", [0.1, 5.0])
-def test_defect_carries_the_noise_kernel_tail(gamma):
-    # At these gammas the summed kernel can round to just below 1, which
-    # makes the kernel's missing mass a visible part of the defect.
+def test_defect_is_the_state_tail_at_any_gamma(gamma):
+    # At these gammas the reference chain's summed noise kernel rounds to
+    # just below 1, so its defect holds the kernel's missing mass; the
+    # operator's noise row is exact, and its defect is the state's tail.
     _assert_matches_reference(
         StateParams(r=0.1, theta=0.5, alpha=0.3), DetectionParams(eta=0.6, gamma=gamma)
     )
@@ -128,28 +133,23 @@ def test_results_do_not_depend_on_the_kept_operator():
 
 def test_the_kept_operator_is_read_only_and_grows_geometrically():
     clicks._last_operator.clear()
-    op, _ = _click_operator(0.5, 1e-5, 10)
+    op = _click_operator(0.5, 1e-5, 10)
     assert not op.flags.writeable
     _click_operator(0.5, 1e-5, 11)
-    assert [len(op) for op, _ in clicks._last_operator.values()] == [20]
+    assert [len(op) for op in clicks._last_operator.values()] == [20]
     _click_operator(0.7, 1e-5, 5)
     assert list(clicks._last_operator) == [(0.7, 1e-5)]
-    assert len(clicks._last_operator[0.7, 1e-5][0]) == 5
+    assert len(clicks._last_operator[0.7, 1e-5]) == 5
 
 
 def _exact_operator(eta: float, gamma: float, width: int) -> list[list[Fraction]]:
     """The rows of the click operator in exact rational arithmetic: the
-    occupancy of k photons by inclusion-exclusion, weighted by the float
-    noise kernel, then one photon at a time lost with probability
-    1 - eta or landing on one of the four detectors."""
-    kernel = _noise_kernel(gamma)[0].tolist() if gamma > 0.0 else [1.0]
-    row = [Fraction(0)] * 5
-    for k, weight in enumerate(kernel):
-        for j in range(5):
-            occupied = sum(
-                (-1) ** i * math.comb(j, i) * Fraction(j - i, 4) ** k for i in range(j + 1)
-            )
-            row[j] += Fraction(weight) * math.comb(4, j) * occupied
+    noise alone fires Binomial(4, q) detectors, with q = -expm1(-gamma / 4)
+    and s = exp(-gamma / 4) as the floats those calls return, then one
+    photon at a time is lost with probability 1 - eta or lands on one of
+    the four detectors."""
+    q, s = Fraction(-math.expm1(-gamma / 4)), Fraction(math.exp(-gamma / 4))
+    row = [math.comb(4, j) * q**j * s ** (4 - j) for j in range(5)]
     land, keep = Fraction(eta), Fraction(1.0 - eta)
     rows = [row]
     for _ in range(1, width):
@@ -161,14 +161,58 @@ def _exact_operator(eta: float, gamma: float, width: int) -> list[list[Fraction]
     return rows
 
 
-@pytest.mark.parametrize("eta, gamma", [(0.5, 1e-5), (0.9, 1e-3), (0.37, 2.5), (1.0, 0.0)])
+@pytest.mark.parametrize(
+    "eta, gamma",
+    [(0.5, 1e-5), (0.9, 1e-3), (0.37, 2.5), (1.0, 0.0), (0.5, 1e-9), (0.6, 30.0)],
+)
 def test_operator_matches_exact_rational_recurrence(eta, gamma):
     width = 151
-    op, _ = _click_operator(eta, gamma, width)
+    op = _click_operator(eta, gamma, width)
     for n, row in enumerate(_exact_operator(eta, gamma, width)):
         for j, exact in enumerate(row):
             if exact >= Fraction(1e-250):
                 assert abs(Fraction(float(op[j, n])) - exact) <= Fraction(5e-15) * exact
+
+
+# A coherent state, or the noise alone, fires each detector independently,
+# so the click g2 and g4 are exactly 1 at any eta and gamma.
+@pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("gamma", [1e-9, 1e-7, 1e-5, 1e-3, 0.1, 1.0, 5.0, 30.0])
+def test_noise_alone_has_unit_coherence(eta, gamma):
+    vacuum = StateParams(r=0.0, theta=0.0, alpha=0.0)
+    got = evaluate_point(vacuum, DetectionParams(eta=eta, gamma=gamma), "click")
+    assert abs(got.g2 - 1.0) <= 3e-15
+    assert abs(got.g4 - 1.0) <= 3e-15
+
+
+def _seeded_coherent_points(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha = math.exp(rng.uniform(math.log(0.03), math.log(3.0)))
+        gamma = rng.choice([0.0, math.exp(rng.uniform(math.log(1e-9), math.log(3.0)))])
+        yield alpha, DetectionParams(eta=rng.uniform(0.05, 1.0), gamma=gamma)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_coherent_states_have_unit_coherence(seed):
+    for alpha, detection in _seeded_coherent_points(seed, 20):
+        got = evaluate_point(StateParams(r=0.0, theta=0.0, alpha=alpha), detection, "click")
+        assert abs(got.g2 - 1.0) <= 1e-14
+        assert abs(got.g4 - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_coherent_sweeps_have_unit_coherence(seed):
+    for _, detection in _seeded_coherent_points(200 + seed, 4):
+        spec = SweepSpec(
+            axes=(SweepAxis("alpha", 0.03, 3.0, 9, "log"),),
+            state=StateParams(r=0.0, theta=0.0, alpha=0.0),
+            detection=detection,
+            pipeline="click",
+        )
+        for row in sweep(spec).rows:
+            assert abs(row.g2 - 1.0) <= 1e-14
+            assert abs(row.g4 - 1.0) <= 1e-14
 
 
 def test_import_does_not_load_scipy():
