@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .clicks import coherence_from_clicks, detected_clicks
 from .coherence import factorial_moments, fourth_order_report, ideal_coherence
-from .detection import DetectionParams, noise_kernel_length
+from .detection import DetectionParams
 from .errors import (
     Hbt4Error,
     InternalInvariantError,
@@ -272,8 +272,6 @@ def cmd_point(config: RunConfig) -> int:
     dist = squeezed_distribution(state, config.tol)
     clicks = detected_clicks(dist, detection)
     click_triple = coherence_from_clicks(clicks)
-    # The noise convolution of the reference chain widens the support by this.
-    noise_support = noise_kernel_length(detection.gamma) if detection.gamma > 0.0 else 0
     ideal_triple = ideal_coherence(state)
     moments = factorial_moments(dist)
     g4_trusted, g4_variant, g4_rel = fourth_order_report(state)
@@ -292,7 +290,6 @@ def cmd_point(config: RunConfig) -> int:
         "diagnostics": {
             "support": len(dist),
             "tail_mass": dist.tail_mass,
-            "transformed_support": len(dist) + noise_support,
             "click_defect": clicks.defect,
         },
     }

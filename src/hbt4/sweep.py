@@ -9,7 +9,7 @@ diagnostics and never abort a sweep.
 A single click point (``evaluate_point``) is its photon-number
 distribution times the cached 5 x N click operator of its detector
 (``clicks.detected_clicks``), one matrix-vector product.  Sweeps and the
-coarse grids of extremum searches over every parameter go through one
+coarse grids of extremum searches and minimized maps go through one
 evaluator, ``_evaluate``: the states at one detector are built by
 ``states.packed_distributions`` as the columns of one zero-padded N x K
 matrix, running the recurrence for all of them together, the matrix takes
@@ -23,10 +23,9 @@ Extremum searches run a coarse grid (log-spaced for amplitude-like
 parameters) followed by Brent's method inside the bracket around the best
 coarse sample, seeded by that sample and its two neighbours, whose values
 the grid already has; an undefined point scores +inf.  Minimized maps
-share one coarse amplitude grid: its states are built once per map, each
-(gamma, eta) cell fetches its click operator once and evaluates every
-coarse state against it, and every order is refined from those values
-inside the cell.
+evaluate one coarse amplitude grid in every (gamma, eta) cell, whose
+states are packed once per map since the last packing is kept; each cell
+fetches its click operator once and refines every order from its values.
 """
 
 from __future__ import annotations
@@ -219,8 +218,23 @@ _CLICK_NUMBERS = np.arange(N_DETECTORS + 1.0)
 # Sweeps pack at most this many states into one matrix.  Building it takes
 # about twice its size (tracemalloc peak of ``packed_distributions``): below
 # 12 MB at supports of 2014 to 2754 (measured 11.3 MB), 17.4 MB at the
-# 4097-entry support cap.
+# 4097-entry support cap.  The last matrix is kept until the next packing,
+# at most one more matrix: 8.4 MB at 256 x 4097.
 _GRID_COLUMNS = 256
+
+# The states, tol and matrix of the last packing, kept as ``clicks`` keeps
+# its last operator and read and replaced whole, so threads share it safely.
+_last_packing: list = [None, None, None]
+
+
+def _packed(states: list[StateParams], tol: float) -> np.ndarray:
+    """``packed_distributions(states, tol)``, or the kept matrix when the
+    last packing had the same states and tol."""
+    kept_states, kept_tol, packed = _last_packing
+    if tol != kept_tol or states != kept_states:
+        packed = packed_distributions(states, tol)
+        _last_packing[:] = states, tol, packed
+    return packed
 
 
 def _click_grid(packed: np.ndarray, detection: DetectionParams) -> list[CoherenceTriple | str]:
@@ -262,22 +276,17 @@ def _evaluate(
     """The coherence of every (state, detection) point, or the message of
     the error ``evaluate_point`` raises there.  Click points are evaluated
     by detector: the states that share one (eta, gamma) take one
-    ``_click_grid`` product per ``_GRID_COLUMNS``; a group that packs the
-    same states as the one before, as every group of an eta or gamma grid
-    does, reuses its matrix."""
+    ``_click_grid`` product per ``_GRID_COLUMNS``."""
     if pipeline == "ideal":
         return [_point_result(state, detection, pipeline, tol) for state, detection in points]
     by_detector: dict[DetectionParams, list[int]] = {}
     for i, (_, detection) in enumerate(points):
         by_detector.setdefault(detection, []).append(i)
     results: list = [None] * len(points)
-    packed_states = None
     for detection, indices in by_detector.items():
         for start in range(0, len(indices), _GRID_COLUMNS):
             chunk = indices[start : start + _GRID_COLUMNS]
-            states = [points[i][0] for i in chunk]
-            if states != packed_states:
-                packed_states, packed = states, packed_distributions(states, tol)
+            packed = _packed([points[i][0] for i in chunk], tol)
             for i, result in zip(chunk, _click_grid(packed, detection)):
                 results[i] = result
     return results
@@ -490,12 +499,10 @@ def minimized_maps(
     """Maps of the alpha-minimized g^(order) over a (gamma, eta) grid, one
     per order.
 
-    The coarse amplitude states depend only on (r, theta, alpha), so they
-    are built once per map and packed into one matrix.  Every cell takes one
-    product of that matrix with its click operator and refines each order
-    from those values.  The minimizing alpha is recorded
-    in the row diagnostics; the row's mean is taken from the refinement
-    point there, or evaluated once when the minimum is a coarse sample.
+    Every cell evaluates the coarse amplitude grid with ``_evaluate``, whose
+    kept packing serves every cell after the first, and refines each order
+    from those values.  The minimizing alpha is recorded in the row
+    diagnostics, and the row's mean is the single-point evaluation there.
     """
     orders = _check_orders(orders)
     if gamma_axis.name != "gamma" or eta_axis.name != "eta":
@@ -503,18 +510,13 @@ def minimized_maps(
     _check_pipeline(pipeline)
     grid, _ = _coarse_grid("alpha", alpha_bounds, coarse_points)
     coarse = [StateParams(state.r, state.theta, alpha) for alpha in grid.tolist()]
-    if pipeline == "click":
-        packed = packed_distributions(coarse)
-    else:
-        results = _evaluate([(s, DetectionParams()) for s in coarse], pipeline, 1e-12)
     rows: dict[int, list[SweepRow]] = {order: [] for order in orders}
     for gamma in gamma_axis.grid():
         for eta in eta_axis.grid():
             detection = DetectionParams(eta=float(eta), gamma=float(gamma))
-            if pipeline == "click":
-                # Fetched at the widest coarse support first, the kept
-                # operator serves every coarse and refinement state.
-                results = _click_grid(packed, detection)
+            # Fetched at the widest coarse support first, the kept
+            # operator serves every coarse and refinement state.
+            results = _evaluate([(s, detection) for s in coarse], pipeline, 1e-12)
             refined: dict[float, CoherenceTriple | str] = {}
 
             def result_at(alpha: float) -> CoherenceTriple | str:
@@ -530,11 +532,8 @@ def minimized_maps(
 
                 values = np.array([_order_value(result, order) for result in results])
                 location, value, _, _ = _refine_minimum(objective, grid, values, True, _BRACKET_TOL)
-                # A minimum on a coarse sample takes its mean from the
-                # one-state product, as at the refinement points.
-                at_min = refined.get(location) or evaluate_point(
-                    StateParams(state.r, state.theta, location), detection, pipeline
-                )
+                # The single-point product, even where the minimum is a coarse sample.
+                at_min = result_at(location)
                 g = [math.nan, math.nan, math.nan]
                 g[order - 2] = value
                 rows[order].append(

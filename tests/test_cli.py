@@ -6,7 +6,6 @@ import pytest
 from hbt4 import (
     DetectionParams,
     StateParams,
-    apply_detection,
     evaluate_point,
     squeezed_distribution,
 )
@@ -89,8 +88,6 @@ class TestPoint:
         clicks = detected_clicks(dist, detection)
         assert report["click_probabilities"] == clicks.probs.tolist()
         assert report["diagnostics"]["click_defect"] == clicks.defect
-        transformed = apply_detection(dist, detection)
-        assert report["diagnostics"]["transformed_support"] == len(transformed)
 
     def test_vacuum_is_no_signal(self, capsys):
         code, _, err = run_cli(capsys, "point", "--r", "0", "--alpha", "0")

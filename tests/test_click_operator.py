@@ -1,7 +1,7 @@
 """The cached click operator against the per-distribution reference chain
 (loss, noise, occupancy) and an exact-rational recurrence, the click g2
-and g4 of independently firing detectors, and the package's import
-footprint."""
+and g4 of independently firing detectors, the low-efficiency slope of the
+click g2, and the package's import footprint."""
 
 import math
 import os
@@ -25,11 +25,13 @@ from hbt4 import (
     click_probabilities,
     evaluate_point,
     fock_distribution,
+    ideal_coherence,
     squeezed_distribution,
     sweep,
 )
 from hbt4 import clicks
 from hbt4.clicks import _click_operator, detected_clicks
+from hbt4.coherence import gaussian_moments
 
 DETECTIONS = [
     DetectionParams(eta=1.0, gamma=0.0),
@@ -213,6 +215,26 @@ def test_coherent_sweeps_have_unit_coherence(seed):
         for row in sweep(spec).rows:
             assert abs(row.g2 - 1.0) <= 1e-14
             assert abs(row.g4 - 1.0) <= 1e-14
+
+
+# At gamma = 0 the probability that a fixed pair of detectors fires is
+# (eta/4)^2 [N_2 - (eta/4) N_3] + O(eta^4), so the click g2 tends to the
+# closed form as eta -> 0 with relative slope -(N_3/N_2 - N_2/N_1)/4.
+def test_g2_low_efficiency_slope():
+    rng = random.Random(19)
+    for _ in range(60):
+        state = StateParams(
+            r=math.exp(rng.uniform(math.log(1e-3), math.log(0.5))),
+            theta=rng.uniform(0.0, 2.0 * math.pi),
+            alpha=math.exp(rng.uniform(math.log(0.03), math.log(3.0))),
+        )
+        n1, n2, n3, _ = gaussian_moments(state)
+        slope = -(n3 / n2 - n2 / n1) / 4.0
+        for eta in (1e-4, 1e-5):
+            click = evaluate_point(state, DetectionParams(eta=eta, gamma=0.0), "click")
+            measured = (click.g2 / ideal_coherence(state).g2 - 1.0) / eta
+            # The O(eta^2) remainder: at most 0.087 eta over these states.
+            assert abs(measured - slope) <= 0.2 * eta
 
 
 def test_import_does_not_load_scipy():

@@ -1,7 +1,9 @@
 import importlib
 import itertools
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +228,7 @@ class TestGridEvaluation:
             return build_grid(states, tol)
 
         monkeypatch.setattr(sweep_module, "packed_distributions", counted_grid)
+        monkeypatch.setattr(sweep_module, "_last_packing", [None, None, None])
         sweep(
             SweepSpec(
                 (SweepAxis("alpha", 1e-3, 1.0, 13, "log"), SweepAxis("eta", 0.1, 1.0, 4)),
@@ -239,8 +242,51 @@ class TestGridEvaluation:
         state = StateParams(1e-3, 0.0, 0.03)
         for parameter, bounds in (("eta", (0.1, 1.0)), ("gamma", (1e-9, 1e-2))):
             packed_states.clear()
+            monkeypatch.setattr(sweep_module, "_last_packing", [None, None, None])
             find_extremum(2, parameter, bounds, state, DetectionParams(1.0, 1e-5), pipeline="click")
             assert packed_states == [state]
+
+    def test_consecutive_grids_of_the_same_states_pack_once(self, monkeypatch):
+        packings = []
+        build_grid = sweep_module.packed_distributions
+
+        def counted_grid(states, tol=1e-12):
+            packings.append(tol)
+            return build_grid(states, tol)
+
+        monkeypatch.setattr(sweep_module, "packed_distributions", counted_grid)
+        monkeypatch.setattr(sweep_module, "_last_packing", [None, None, None])
+        theta = (SweepAxis("theta", 0.0, math.pi, 17),)
+        other = StateParams(r=0.2, theta=0.0, alpha=0.6)
+        grids = [
+            SweepSpec(theta, WEAK_DIP, FEASIBLE, pipeline="click"),
+            SweepSpec(theta, WEAK_DIP, DetectionParams(0.9, 1e-3), pipeline="click"),
+            SweepSpec(theta, other, FEASIBLE, pipeline="click"),
+            SweepSpec(theta, other, FEASIBLE, pipeline="click", tol=1e-10),
+        ]
+        counts = []
+        for spec in grids:
+            assert_rows_match_points(spec)
+            counts.append(len(packings))
+        assert counts == [1, 1, 2, 3]
+
+    def test_parallel_sweeps_equal_their_serial_builds(self):
+        # Two state grids at two detectors, so that threads keep replacing
+        # the kept packing and click operator under each other.
+        specs = [
+            SweepSpec((axis,), StateParams(r=0.05, theta=0.4, alpha=0.3), detection, "click")
+            for axis in (SweepAxis("theta", 0.0, math.pi, 24), SweepAxis("alpha", 0.1, 2.0, 24))
+            for detection in (FEASIBLE, DetectionParams(eta=0.9, gamma=1e-3))
+        ]
+        serial = [repr(sweep(spec).rows) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                tables = list(pool.map(sweep, specs * 25, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [repr(table.rows) for table in tables] == serial * 25
 
     @pytest.mark.parametrize(
         "axes",
@@ -681,6 +727,7 @@ class TestMinimizedMaps:
 
         monkeypatch.setattr(sweep_module, "squeezed_distribution", counted)
         monkeypatch.setattr(sweep_module, "packed_distributions", counted_grid)
+        monkeypatch.setattr(sweep_module, "_last_packing", [None, None, None])
         tables = minimized_maps((2, 3, 4), GAMMAS, ETAS, WEAK, coarse_points=60)
         grid = set(np.geomspace(1e-3, 1.0, 60).tolist())
         assert sum(alpha in grid for alpha in alphas) == 60
