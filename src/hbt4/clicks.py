@@ -24,6 +24,10 @@ product.  Column n is the click distribution of exactly n photons,
 whatever the support it is used with.  The per-distribution chain,
 ``click_probabilities`` of ``detection.apply_detection``, is its
 reference.
+
+Every order of coherence is read from the five click probabilities by
+one formula, the click correlation of the same paper
+(``coherence_from_clicks``).
 """
 
 from __future__ import annotations
@@ -231,18 +235,11 @@ def multinomial_click_probabilities(dist: PhotonDistribution) -> ClickDistributi
     return ClickDistribution(probs=probs, defect=dist.tail_mass)
 
 
-# Coincidence weights of the click estimators.  With G_j the probability
-# of exactly j clicks and <n> = sum_j j G_j, entry k - 2 holds the divisor
-# d_k and the pairs (j, w_kj) of the nonzero weights in
-#
-#     g_k = sum_j w_kj G_j / (d_k <n>^k):
-#
-# g2 = (8 G_2 + 24 G_3 + 48 G_4) / (3 <n>^2), g3 = 16 G_3 / <n>^3 and
-# g4 = 256 G_4 / <n>^4.
-_COINCIDENCE_WEIGHTS = (
-    (3.0, ((2, 8.0), (3, 24.0), (4, 48.0))),
-    (1.0, ((3, 16.0),)),
-    (1.0, ((4, 256.0),)),
+# Weights of the click correlations: g_k = sum_j w_kj G_j / <n>^k, with
+# w_kj = 4^k C(j, k) / C(4, k) in entry k - 2, position j; zero for j < k.
+_CORRELATION_WEIGHTS = tuple(
+    tuple(4**k * math.comb(j, k) / math.comb(N_DETECTORS, k) for j in range(N_DETECTORS + 1))
+    for k in (2, 3, 4)
 )
 
 _NO_SIGNAL = "mean click number is zero; coherence undefined"
@@ -272,37 +269,29 @@ def _no_signal(n: float) -> str | None:
 def _coincidence_ratios(probs, n) -> tuple:
     """g2, g3 and g4 of the click distribution ``probs`` (5 entries, or
     5 x K with one distribution per column) with mean click number ``n``
-    (a number, or K of them), from ``_COINCIDENCE_WEIGHTS``."""
-    numerators = []
-    for _, weights in _COINCIDENCE_WEIGHTS:
+    (a number, or K of them), from ``_CORRELATION_WEIGHTS``.  The sums run
+    term by term, so a column rounds exactly as a single distribution."""
+    ratios = []
+    for k, w in enumerate(_CORRELATION_WEIGHTS, start=2):
         total = 0.0
-        for j, w in weights:
-            total = total + w * probs[j]
-        numerators.append(total)
-    g2, g3, g4 = numerators
-    # Each denominator is written out so that it rounds as it always has.
-    (d2, _), (d3, _), (d4, _) = _COINCIDENCE_WEIGHTS
-    return g2 / (d2 * n * n), g3 / (d3 * n**3), g4 / (d4 * n**4)
+        for j in range(k, N_DETECTORS + 1):
+            total = total + w[j] * probs[j]
+        ratios.append(total / n**k)
+    return tuple(ratios)
 
 
 def coherence_from_clicks(clicks: ClickDistribution) -> CoherenceTriple:
-    """Click-based coherence estimators, from the coincidence weights in
-    ``_COINCIDENCE_WEIGHTS``.
+    """Click correlations of Sperling, Vogel & Agarwal, PRA 85, 023820
+    (2012): the probability that a fixed set of k detectors all fire over
+    the k-th power of the probability that one fires.  With G_j the
+    probability of exactly j clicks and <n> = sum j*G_j,
 
-    With G_i the probability of exactly i clicks and <n> = sum i*G_i:
+        g_k = 4^k sum_j C(j, k) G_j / (C(4, k) <n>^k),
 
-        g2 = (8 G_2 + 24 G_3 + 48 G_4) / (3 <n>^2)
-        g3 = 16 G_3 / <n>^3
-        g4 = 256 G_4 / <n>^4
-
-    g2 and g4 average over the detector groupings: g2 counts every pair of
-    fired detectors, in two-, three- and four-click events, and g4 has the
-    single grouping of all four.  g3 uses exactly-three-click events only;
-    the grouping average would be 16 (G_3 + 4 G_4) / <n>^3.  The two agree
-    in the weak-field limit, where G_4 is negligible next to G_3, but not
-    at strong fields, where g3 falls towards 0 as nearly every window
-    fires all four detectors.  NoSignalError when <n> is zero or so small
-    that <n>^4 is below the smallest normal float (``_no_signal``).
+    so g2 = (8/3 G_2 + 8 G_3 + 16 G_4) / <n>^2, g3 = 16 (G_3 + 4 G_4) / <n>^3
+    and g4 = 256 G_4 / <n>^4.  Independently firing detectors (a coherent
+    state, noise alone) give every g_k = 1.  NoSignalError when <n> is zero
+    or <n>^4 is below the smallest normal float (``_no_signal``).
     """
     n = clicks.mean_clicks
     if reason := _no_signal(n):

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clicks import (
-    _COINCIDENCE_WEIGHTS,
+    _CORRELATION_WEIGHTS,
     N_DETECTORS,
     ClickDistribution,
     CoherenceTriple,
@@ -270,19 +270,15 @@ def _histograms(
 
 def _coherence_gradients(gamma_hat: np.ndarray) -> tuple[np.ndarray, ...]:
     """Gradients of g2, g3 and g4 with respect to the click probabilities
-    G, from the estimators' weights (``clicks._COINCIDENCE_WEIGHTS``):
-    g_k = (w_k . G) / (d_k <n>^k) with <n> = j . G has the gradient
-    w_k / (d_k <n>^k) - k (w_k . G) / (d_k <n>^(k+1)) j."""
+    G, from the correlations' weights (``clicks._CORRELATION_WEIGHTS``):
+    g_k = (w_k . G) / <n>^k with <n> = j . G has the gradient
+    w_k / <n>^k - k (w_k . G) / <n>^(k+1) j."""
     j = np.arange(N_DETECTORS + 1, dtype=float)
     n = float(j @ gamma_hat)
-    grads = []
-    for k, (divisor, pairs) in enumerate(_COINCIDENCE_WEIGHTS, start=2):
-        w = np.zeros(N_DETECTORS + 1)
-        for i, weight in pairs:
-            w[i] = weight
-        s = float(w @ gamma_hat)
-        grads.append(w / (divisor * n**k) - (k * s / (divisor * n ** (k + 1))) * j)
-    return tuple(grads)
+    return tuple(
+        w / n**k - (k * float(w @ gamma_hat) / n ** (k + 1)) * j
+        for k, w in enumerate(np.array(_CORRELATION_WEIGHTS), start=2)
+    )
 
 
 def run_mc(config: McConfig) -> McResult:

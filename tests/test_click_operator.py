@@ -1,7 +1,7 @@
 """The cached click operator against the per-distribution reference chain
-(loss, noise, occupancy) and an exact-rational recurrence, the click g2
-and g4 of independently firing detectors, the low-efficiency slope of the
-click g2, and the package's import footprint."""
+(loss, noise, occupancy) and an exact-rational recurrence, the click g2,
+g3 and g4 of independently firing detectors, the low-efficiency slopes of
+the click g2 and g3, and the package's import footprint."""
 
 import math
 import os
@@ -177,13 +177,14 @@ def test_operator_matches_exact_rational_recurrence(eta, gamma):
 
 
 # A coherent state, or the noise alone, fires each detector independently,
-# so the click g2 and g4 are exactly 1 at any eta and gamma.
+# so every click correlation is exactly 1 at any eta and gamma.
 @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("gamma", [1e-9, 1e-7, 1e-5, 1e-3, 0.1, 1.0, 5.0, 30.0])
 def test_noise_alone_has_unit_coherence(eta, gamma):
     vacuum = StateParams(r=0.0, theta=0.0, alpha=0.0)
     got = evaluate_point(vacuum, DetectionParams(eta=eta, gamma=gamma), "click")
     assert abs(got.g2 - 1.0) <= 3e-15
+    assert abs(got.g3 - 1.0) <= 3e-15
     assert abs(got.g4 - 1.0) <= 3e-15
 
 
@@ -200,6 +201,7 @@ def test_coherent_states_have_unit_coherence(seed):
     for alpha, detection in _seeded_coherent_points(seed, 20):
         got = evaluate_point(StateParams(r=0.0, theta=0.0, alpha=alpha), detection, "click")
         assert abs(got.g2 - 1.0) <= 1e-14
+        assert abs(got.g3 - 1.0) <= 1e-14
         assert abs(got.g4 - 1.0) <= 1e-14
 
 
@@ -214,20 +216,26 @@ def test_coherent_sweeps_have_unit_coherence(seed):
         )
         for row in sweep(spec).rows:
             assert abs(row.g2 - 1.0) <= 1e-14
+            assert abs(row.g3 - 1.0) <= 1e-14
             assert abs(row.g4 - 1.0) <= 1e-14
 
 
-# At gamma = 0 the probability that a fixed pair of detectors fires is
-# (eta/4)^2 [N_2 - (eta/4) N_3] + O(eta^4), so the click g2 tends to the
-# closed form as eta -> 0 with relative slope -(N_3/N_2 - N_2/N_1)/4.
-def test_g2_low_efficiency_slope():
+# At gamma = 0 the probability that a fixed set of k detectors fires is
+# (eta/4)^k [N_k - (eta k/8) N_{k+1}] + O(eta^(k+2)), so the click g_k
+# tends to the closed form as eta -> 0 with relative slope
+# -(k/8)(N_{k+1}/N_k - N_2/N_1).
+def _low_efficiency_states():
     rng = random.Random(19)
     for _ in range(60):
-        state = StateParams(
+        yield StateParams(
             r=math.exp(rng.uniform(math.log(1e-3), math.log(0.5))),
             theta=rng.uniform(0.0, 2.0 * math.pi),
             alpha=math.exp(rng.uniform(math.log(0.03), math.log(3.0))),
         )
+
+
+def test_g2_low_efficiency_slope():
+    for state in _low_efficiency_states():
         n1, n2, n3, _ = gaussian_moments(state)
         slope = -(n3 / n2 - n2 / n1) / 4.0
         for eta in (1e-4, 1e-5):
@@ -235,6 +243,17 @@ def test_g2_low_efficiency_slope():
             measured = (click.g2 / ideal_coherence(state).g2 - 1.0) / eta
             # The O(eta^2) remainder: at most 0.087 eta over these states.
             assert abs(measured - slope) <= 0.2 * eta
+
+
+def test_g3_low_efficiency_slope():
+    for state in _low_efficiency_states():
+        n1, n2, n3, n4 = gaussian_moments(state)
+        slope = -3.0 / 8.0 * (n4 / n3 - n2 / n1)
+        for eta in (1e-4, 1e-5):
+            click = evaluate_point(state, DetectionParams(eta=eta, gamma=0.0), "click")
+            measured = (click.g3 / ideal_coherence(state).g3 - 1.0) / eta
+            # The O(eta^2) remainder: at most 0.41 eta over these states.
+            assert abs(measured - slope) <= eta
 
 
 def test_import_does_not_load_scipy():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -33,6 +34,20 @@ def enumerate_click_probs(n_photons: int) -> list[Fraction]:
         counts[len(set(assignment))] += 1
     total = 4**n_photons
     return [Fraction(c, total) for c in counts]
+
+
+@functools.lru_cache(maxsize=None)
+def fixed_set_fire_probs(n_photons: int) -> tuple[Fraction, ...]:
+    """Exact probability P_k that detectors 0..k-1 all fire, for k = 0..4,
+    when n photons are routed uniformly onto 4 detectors, by full
+    enumeration of the 4^n routes (oracle)."""
+    hits = [0] * 5
+    for route in itertools.product(range(4), repeat=n_photons):
+        # Detectors 0..m-1 fired, m did not: every k <= m is a coincidence.
+        m = min({0, 1, 2, 3, 4} - set(route))
+        for k in range(m + 1):
+            hits[k] += 1
+    return tuple(Fraction(h, 4**n_photons) for h in hits)
 
 
 class TestClickProbabilities:
@@ -87,6 +102,29 @@ class TestMultinomialReference:
             a = click_probabilities(d).probs
             b = multinomial_click_probabilities(d).probs
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_click_correlations_are_fixed_set_coincidences(seed):
+    # g_k = P_k / P_1^k, with P_k the exact probability that a fixed set
+    # of k detectors all fire, over photon numbers 0..8.
+    rng = np.random.default_rng(seed)
+    length = int(rng.integers(2, 10))
+    if seed % 2:
+        p = rng.dirichlet(np.full(length, rng.uniform(0.2, 3.0)))
+    else:
+        p = rng.uniform(1e-3, 1.0) ** np.arange(length)
+        p /= p.sum()
+    dist = PhotonDistribution(probs=p, tail_mass=0.0)
+    coincidences = [
+        sum(Fraction(float(p_l)) * fixed_set_fire_probs(l)[k] for l, p_l in enumerate(p))
+        for k in range(5)
+    ]
+    exact = [float(coincidences[k] / coincidences[1] ** k) for k in (2, 3, 4)]
+    for clicks in (multinomial_click_probabilities(dist), click_probabilities(dist)):
+        triple = coherence_from_clicks(clicks)
+        for got, want in zip((triple.g2, triple.g3, triple.g4), exact):
+            assert abs(got - want) <= 1e-14 * want
 
 
 class TestCoherenceFromClicks:
