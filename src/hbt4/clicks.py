@@ -269,14 +269,15 @@ def _no_signal(n: float) -> str | None:
 def _coincidence_ratios(probs, n) -> tuple:
     """g2, g3 and g4 of the click distribution ``probs`` (5 entries, or
     5 x K with one distribution per column) with mean click number ``n``
-    (a number, or K of them), from ``_CORRELATION_WEIGHTS``.  The sums run
-    term by term, so a column rounds exactly as a single distribution."""
+    (a number, or K of them), from ``_CORRELATION_WEIGHTS``."""
     ratios = []
     for k, w in enumerate(_CORRELATION_WEIGHTS, start=2):
         total = 0.0
         for j in range(k, N_DETECTORS + 1):
             total = total + w[j] * probs[j]
-        ratios.append(total / n**k)
+        # n * n, not n**2, which is np.square for an array and pow() for a
+        # number: the two can round differently.
+        ratios.append(total / (n * n if k == 2 else n**k))
     return tuple(ratios)
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,10 +171,7 @@ def factorial_moments(dist: PhotonDistribution, order_max: int = 4) -> Coherence
     Accuracy at fourth order is limited by the input truncation: the
     n(n-1)(n-2)(n-3) weight amplifies tail terms, which is why
     ``squeezed_distribution`` keeps max(2 (n_mass + 1), n_mass + 17)
-    entries past the first n_mass that meets its mass tolerance.  A
-    factorial-moment sum below the smallest normal float has lost its
-    digits to underflow and reads 0, so a moment does not flip between a
-    subnormal value and 0 under a transform such as loss.
+    entries past the first n_mass that meets its mass tolerance.
     """
     if order_max not in (2, 3, 4):
         raise InvalidParameterError("order_max", f"must be 2, 3 or 4, got {order_max}")
@@ -190,6 +186,5 @@ def factorial_moments(dist: PhotonDistribution, order_max: int = 4) -> Coherence
     for order in range(2, 5):
         weight = weight * (n - (order - 1))
         if order <= order_max:
-            moment = float(weight @ p)
-            out[order - 2] = (moment if moment >= sys.float_info.min else 0.0) / mean**order
+            out[order - 2] = float(weight @ p) / mean**order
     return CoherenceTriple(g2=out[0], g3=out[1], g4=out[2], mean_clicks=mean)

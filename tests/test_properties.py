@@ -82,9 +82,9 @@ def test_loss_preserves_normalization_and_scales_mean(d, eta):
 
 @settings(max_examples=40, deadline=None)
 @given(d=distributions(), eta=st.floats(min_value=0.05, max_value=1.0))
-# p_2 = 5e-324 gives the subnormal moment sum 1e-323 before loss and, as
-# 0.25 p_2 underflows, 0 after it.
-@example(d=PhotonDistribution(probs=np.array([0.0, 1.0, 5e-324]), tail_mass=0.0), eta=0.5)
+# p_2 = 2^-1022 becomes the subnormal but exact 2^-1024 under loss, and g2
+# is 2^-1021 on both sides; a cutoff on subnormal moment sums would zero it.
+@example(d=PhotonDistribution(probs=np.array([0.0, 1.0, 2.0**-1022]), tail_mass=0.0), eta=0.5)
 def test_loss_invariance_of_normalized_moments(d, eta):
     try:
         before = factorial_moments(d)
