@@ -1,16 +1,25 @@
 """Closed-form coherence of the displaced squeezed state, plus the
 factorial-moment definition usable on any photon-number distribution.
 
-The state S(xi) D(alpha)|0> with xi = r e^{i theta} is Gaussian: its photon
-field is a displaced zero-mean Gaussian with
+The state S(xi) D(alpha)|0> with xi = r e^{i theta} is Gaussian.  Its field
+is a = W + cosh r c + s c+ on the vacuum of c, with
 
-    displacement   W  = alpha (cosh r - e^{i theta} sinh r)
-    occupation     nb = <b+ b>  = sinh^2 r
-    pair moment    m  = <b b>   = -e^{i theta} cosh r sinh r
+    displacement   W = alpha (cosh r - e^{i theta} sinh r)
+    squeezing      s = -e^{i theta} sinh r
+    pair moment    m = <b b> = -e^{i theta} cosh r sinh r
 
-so the normally ordered moments N_k = <a+^k a^k> follow from Wick pairings
-in (nb, m, m*) alone, and g^(k) = N_k / N_1^k.  These expressions are exact
-and are cross-validated against direct summation over the photon-number
+so a^k|0> = sum_j C(k, j) s^j h_{k-j} c+^j|0>, where the h_l are Hermite
+values: h_0 = 1, h_1 = W, h_{l+1} = W h_l + l m h_{l-1}.  The normally
+ordered moments are then sums of non-negative terms,
+
+    N_k = <a+^k a^k> = sum_j C(k, j)^2 j! sinh^{2j} r |h_{k-j}|^2,
+
+and g^(k) = N_k / N_1^k.  Any cancellation stays inside h (h_2 = W^2 + m),
+so g^(k) keeps its digits at an antibunching dip, where the Wick pairings
+of <a+^k a^k>, whose terms have both signs, lose them.  ``_normal_moments``
+evaluates the sums for one state or a whole grid of them in the same
+operations, so a grid and its points agree bit for bit; the results are
+cross-validated against direct summation over the photon-number
 distribution in the test suite.
 
 A second closed form for the fourth order circulates, written with the
@@ -24,6 +33,7 @@ to the trusted value.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,49 +90,85 @@ def analytic_intermediates(params: StateParams) -> AnalyticIntermediates:
     )
 
 
+def _each(f, x):
+    """``f`` of a number, or of every entry of an array, one ``math`` call
+    each, so that a grid rounds as its points do."""
+    if isinstance(x, np.ndarray):
+        return np.array([f(v) for v in x.tolist()])
+    return f(x)
+
+
+@functools.lru_cache(maxsize=None)
+def _pairings(k_max: int) -> tuple[tuple[float, ...], ...]:
+    """The weights C(k, j)^2 j! of N_k's terms, j = 1..k, for k = 1..k_max."""
+    return tuple(
+        tuple(float(math.comb(k, j) ** 2 * math.factorial(j)) for j in range(1, k + 1))
+        for k in range(1, k_max + 1)
+    )
+
+
+def _normal_moments(r, theta, alpha, k_max: int) -> list:
+    """N_1..N_k_max = <a+^k a^k> of the states (r, theta, alpha): numbers,
+    or float arrays holding one state per entry.
+
+    The sums of the module docstring, in real arithmetic on (real, imag)
+    pairs, so that numbers and arrays take the same roundings: numpy's
+    elementwise +, -, * round as Python's float operations, and the
+    transcendentals go through ``math`` entry by entry.
+    """
+    ch, sh = _each(math.cosh, r), _each(math.sinh, r)
+    c, s = _each(math.cos, theta), _each(math.sin, theta)
+    nb = sh * sh
+    chsh = ch * sh
+    wr, wi = alpha * (ch - c * sh), -(alpha * (s * sh))
+    mr, mi = -(c * chsh), -(s * chsh)
+    # h_l as (real, imag) pairs: h_{l+1} = W h_l + l m h_{l-1}.
+    h = [(1.0, 0.0), (wr, wi)]
+    for l in range(1, k_max):
+        (pr, pi), (hr, hi) = h[l - 1], h[l]
+        h.append(
+            (wr * hr - wi * hi + l * (mr * pr - mi * pi), wr * hi + wi * hr + l * (mr * pi + mi * pr))
+        )
+    moduli = [hr * hr + hi * hi for hr, hi in h]
+    moments = []
+    for k, weights in enumerate(_pairings(k_max), start=1):
+        total, nb_j = moduli[k], 1.0
+        for j, weight in enumerate(weights, start=1):
+            nb_j = nb_j * nb
+            total = total + weight * nb_j * moduli[k - j]
+        moments.append(total)
+    return moments
+
+
 def gaussian_moments(params: StateParams) -> tuple[float, float, float, float]:
     """Normally ordered moments N_1..N_4 = <a+^k a^k> of the state."""
-    inter = analytic_intermediates(params)
-    sh = math.sinh(params.r)
-    ch = math.cosh(params.r)
-    w2 = abs(inter.omega) ** 2
-    nb = sh * sh
-    m2 = (ch * sh) ** 2
-    B = inter.b_val
-    n1 = w2 + nb
-    n2 = w2**2 + 4.0 * w2 * nb + 2.0 * nb**2 - B + m2
-    n3 = (
-        w2**3
-        + 9.0 * w2**2 * nb
-        + 18.0 * w2 * nb**2
-        + 6.0 * nb**3
-        - 3.0 * B * (w2 + 3.0 * nb)
-        + 9.0 * m2 * (w2 + nb)
-    )
-    n4 = (
-        w2**4
-        + 16.0 * w2**3 * nb
-        + 72.0 * w2**2 * nb**2
-        + 96.0 * w2 * nb**3
-        + 24.0 * nb**4
-        - 6.0 * B * (w2**2 + 8.0 * w2 * nb + 12.0 * nb**2 + 3.0 * m2)
-        + 3.0 * B**2
-        + m2 * (30.0 * w2**2 + 144.0 * w2 * nb + 72.0 * nb**2)
-        + 9.0 * m2**2
-    )
-    return n1, n2, n3, n4
+    return tuple(_normal_moments(params.r, params.theta, params.alpha, 4))
+
+
+def _undefined(mean: float) -> str | None:
+    """The UndefinedCoherenceError message of the closed form at mean
+    photon number ``mean``, or None where its coherence is defined."""
+    if mean <= 0.0:
+        return "vacuum input: coherence undefined"
+    if _unresolved(mean):
+        return _UNRESOLVED
+    return None
+
+
+def _ratios(n1, n2, n3, n4) -> tuple:
+    """g2, g3, g4 = N_k / N_1^k of moments that are numbers or arrays, in
+    products rather than powers, which round differently for the two."""
+    n1_2 = n1 * n1
+    return n2 / n1_2, n3 / (n1_2 * n1), n4 / (n1_2 * n1_2)
 
 
 def ideal_coherence(params: StateParams) -> CoherenceTriple:
     """Loss- and noise-free coherence of the state; ``mean_clicks`` carries
     the true mean photon number A = |W|^2 + sinh^2 r."""
-    n1, n2, n3, n4 = gaussian_moments(params)
-    if n1 <= 0.0:
-        raise UndefinedCoherenceError("vacuum input: coherence undefined")
-    _check_resolved(n1)
-    return CoherenceTriple(
-        g2=n2 / n1**2, g3=n3 / n1**3, g4=n4 / n1**4, mean_clicks=n1
-    )
+    n1, n2, n3, n4 = _normal_moments(params.r, params.theta, params.alpha, 4)
+    if reason := _undefined(n1):
+        raise UndefinedCoherenceError(reason)
+    return CoherenceTriple(*_ratios(n1, n2, n3, n4), mean_clicks=n1)
 
 
 def fourth_order_variant(params: StateParams) -> float:

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .states import PhotonDistribution, _real
+from .states import PhotonDistribution, _check_fields
+
+# The rules of the detection fields, as ``states._STATE_RULES``.
+_DETECTION_RULES = {
+    "eta": ("must lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "gamma": ("must be finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+}
 
 
 @dataclass(frozen=True)
@@ -27,12 +33,7 @@ class DetectionParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        for name in ("eta", "gamma"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not (math.isfinite(self.eta) and 0.0 <= self.eta <= 1.0):
-            raise InvalidParameterError("eta", f"must lie in [0, 1], got {self.eta}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise InvalidParameterError("gamma", f"must be finite and >= 0, got {self.gamma}")
+        _check_fields(self, _DETECTION_RULES)
 
 
 def bernoulli_loss(dist: PhotonDistribution, eta: float) -> PhotonDistribution:

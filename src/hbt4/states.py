@@ -55,6 +55,27 @@ def _real(field: str, value) -> float:
     return float(value)
 
 
+# The rule of each parameter field: its message and a test of valid values
+# that holds elementwise on float arrays too, so that a grid's columns are
+# checked by the rules of its points.
+_STATE_RULES = {
+    "r": ("must be finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    "theta": ("must be finite", lambda v: abs(v) < math.inf),
+    "alpha": ("must be finite and real", lambda v: abs(v) < math.inf),
+}
+
+
+def _check_fields(params, rules: dict) -> None:
+    """Cast the fields of the dataclass ``params`` named in ``rules`` to
+    floats (``_real``), then raise InvalidParameterError at the first field
+    that breaks its rule."""
+    for name in rules:
+        object.__setattr__(params, name, _real(name, getattr(params, name)))
+    for name, (message, valid) in rules.items():
+        if not valid(value := getattr(params, name)):
+            raise InvalidParameterError(name, f"{message}, got {value}")
+
+
 @dataclass(frozen=True)
 class StateParams:
     """Squeezing magnitude ``r``, squeezing phase ``theta`` (radians) and
@@ -65,14 +86,7 @@ class StateParams:
     alpha: float
 
     def __post_init__(self):
-        for name in ("r", "theta", "alpha"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise InvalidParameterError("r", f"must be finite and >= 0, got {self.r}")
-        if not math.isfinite(self.theta):
-            raise InvalidParameterError("theta", f"must be finite, got {self.theta}")
-        if not math.isfinite(self.alpha):
-            raise InvalidParameterError("alpha", f"must be finite and real, got {self.alpha}")
+        _check_fields(self, _STATE_RULES)
 
 
 @dataclass(frozen=True)
@@ -187,10 +201,9 @@ def _check_tol(tol: float) -> None:
         raise InvalidParameterError("tol", f"must lie in (0, 1e-6], got {tol}")
 
 
-def _recurrence_start(params: StateParams) -> tuple[complex, float, float]:
-    """y, t and the initial log-scale of the recurrence of ``params`` (see
-    ``squeezed_distribution``)."""
-    r, theta, alpha = params.r, params.theta, params.alpha
+def _recurrence_start(r: float, theta: float, alpha: float) -> tuple[complex, float, float]:
+    """y, t and the initial log-scale of the recurrence of the state
+    (r, theta, alpha) (see ``squeezed_distribution``)."""
     y = alpha * cmath.exp(-0.5j * theta) / (2.0 * math.cosh(r))
     t = math.tanh(r) / 2.0
     log_pref = -alpha * alpha + alpha * alpha * math.cos(theta) * math.tanh(r) - math.log(math.cosh(r))
@@ -202,17 +215,20 @@ def _kept_length(count: int) -> int:
     return min(max(2 * count, count + _SUPPORT_MARGIN), N_HARD_MAX + 1)
 
 
-def _truncation_error(params: StateParams, tol: float) -> TruncationError:
+def _truncation_error(state: tuple[float, float, float], tol: float) -> TruncationError:
+    r, theta, alpha = state
     return TruncationError(
-        f"squeezed state (r={params.r:g}, theta={params.theta:g}, alpha={params.alpha:g}) does not "
+        f"squeezed state (r={r:g}, theta={theta:g}, alpha={alpha:g}) does not "
         f"reach tail < {tol:g} within {N_HARD_MAX} photon numbers"
     )
 
 
 def _squared_moduli(
-    terms, params: StateParams, tol: float, n: int = 0, mass: float = 0.0, n_keep: int = 0
+    terms, state: tuple[float, float, float], tol: float, n: int = 0, mass: float = 0.0,
+    n_keep: int = 0,
 ) -> list[float]:
-    """p = |u|^2 of the recurrence ``terms`` from entry ``n`` on, the first
+    """p = |u|^2 of the recurrence ``terms`` of ``state`` (r, theta, alpha)
+    from entry ``n`` on, the first
     ``n`` entries summing to ``mass``, up to the kept length: ``n_keep``, or
     when that is 0, ``_kept_length`` of the first entry count whose tail is
     below ``tol``.  Each p is h * h with h = |u|, rounded as in
@@ -227,7 +243,7 @@ def _squared_moduli(
             if 1.0 - mass < tol:
                 break
         else:
-            raise _truncation_error(params, tol)
+            raise _truncation_error(state, tol)
         n_keep = _kept_length(n + len(probs))
     probs += [h * h for h in map(abs, itertools.islice(terms, n_keep - n - len(probs)))]
     return probs
@@ -249,8 +265,9 @@ def squeezed_distribution(params: StateParams, tol: float = _DEFAULT_TOL) -> Pho
     still above ``tol`` at N_HARD_MAX.
     """
     _check_tol(tol)
-    y, t, log_scale = _recurrence_start(params)
-    kept = np.array(_squared_moduli(_scaled_hermite(y, t, log_scale), params, tol))
+    state = params.r, params.theta, params.alpha
+    y, t, log_scale = _recurrence_start(*state)
+    kept = np.array(_squared_moduli(_scaled_hermite(y, t, log_scale), state, tol))
     return PhotonDistribution(probs=kept, tail_mass=max(0.0, 1.0 - float(kept.sum())))
 
 
@@ -263,10 +280,14 @@ _HANDOFF_COLUMNS = 32
 _UNKNOWN = N_HARD_MAX + 2
 
 
-def packed_distributions(states: Sequence[StateParams], tol: float = _DEFAULT_TOL) -> np.ndarray:
-    """The photon-number distributions of ``states`` as the columns of one
-    zero-padded N x K matrix, N the widest support: column k is
-    ``squeezed_distribution(states[k], tol).probs`` bit for bit, then zeros.
+def packed_distributions(
+    states: Sequence[tuple[float, float, float]], tol: float = _DEFAULT_TOL
+) -> np.ndarray:
+    """The photon-number distributions of ``states``, (r, theta, alpha)
+    triples of Python floats that pass the ``StateParams`` checks, as the
+    columns of one zero-padded N x K matrix, N the widest support: column k
+    is ``squeezed_distribution(StateParams(*states[k]), tol).probs`` bit for
+    bit, then zeros.
 
     The recurrence of ``squeezed_distribution`` runs for all unfinished
     columns at once, one numpy step per photon number, in real float64
@@ -281,7 +302,7 @@ def packed_distributions(states: Sequence[StateParams], tol: float = _DEFAULT_TO
     states = list(states)
     if not states:
         raise InvalidParameterError("states", "need at least one state")
-    starts = [_recurrence_start(s) for s in states]
+    starts = [_recurrence_start(*s) for s in states]
     k = len(starts)
     y2r = 2.0 * np.array([y.real for y, _, _ in starts])
     y2i = 2.0 * np.array([y.imag for y, _, _ in starts])

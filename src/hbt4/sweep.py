@@ -6,11 +6,17 @@ rows in row-major axis order.  Per-point failures (vacuum input, zero
 signal, or a mean too small to resolve g4) are recorded in the row
 diagnostics and never abort a sweep.
 
-A single click point (``evaluate_point``) is its photon-number
-distribution times the cached 5 x N click operator of its detector
-(``clicks.detected_clicks``), one matrix-vector product.  Sweeps and the
-coarse grids of extremum searches and minimized maps go through one
-evaluator, ``_evaluate``: the states at one detector are built by
+A single point (``evaluate_point``) is ``ideal_coherence`` of its state, or
+its photon-number distribution times the cached 5 x N click operator of
+its detector (``clicks.detected_clicks``), one matrix-vector product.
+Sweeps and the coarse grids of extremum searches and minimized maps go
+through one evaluator, ``_evaluate``, which takes the grid as parameter
+columns: r, theta, alpha, eta and gamma as lists of floats (``_columns``),
+checked once per scanned column by the rules of the dataclass fields, so
+that no per-point ``StateParams`` or ``DetectionParams`` is built.  An
+ideal grid is one call of ``coherence._normal_moments`` on the columns,
+which rounds as the single point does.  Click points are grouped by their
+(eta, gamma) pair: the states at one detector are built by
 ``states.packed_distributions`` as the columns of one zero-padded N x K
 matrix, running the recurrence for all of them together, the matrix takes
 one product with the operator, and the coincidence ratios of all K columns
@@ -33,8 +39,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,14 +53,24 @@ from .clicks import (
     coherence_from_clicks,
     detected_clicks,
 )
-from .coherence import ideal_coherence
-from .detection import DetectionParams
+from .coherence import _normal_moments, _ratios, _undefined, ideal_coherence
+from .detection import _DETECTION_RULES, DetectionParams
 from .errors import Hbt4Error, InvalidParameterError, NoSignalError, UndefinedCoherenceError
-from .states import StateParams, _check_tol, _real, packed_distributions, squeezed_distribution
+from .states import (
+    _STATE_RULES,
+    StateParams,
+    _check_tol,
+    _real,
+    packed_distributions,
+    squeezed_distribution,
+)
 
 PIPELINES = ("ideal", "click")
 PARAMETERS = ("r", "theta", "alpha", "eta", "gamma")
 _STATE_PARAMETERS = frozenset({"r", "theta", "alpha"})
+
+# The field rules of every parameter, in the order a point checks them.
+_RULES = _STATE_RULES | _DETECTION_RULES
 
 # Parameters scanned on a logarithmic grid by default: dips and peaks sit
 # at small amplitudes and noise spans decades.
@@ -166,23 +182,40 @@ def _check_pipeline(pipeline: str) -> None:
         raise InvalidParameterError("pipeline", f"must be one of {PIPELINES}, got {pipeline!r}")
 
 
-def _points(
-    state: StateParams, detection: DetectionParams, names: Sequence[str], grid: Iterable[tuple]
-) -> list[tuple[StateParams, DetectionParams]]:
-    """The (state, detection) point of every tuple of values of the named
-    parameters in ``grid``, each built directly, with its field checks."""
+def _columns(
+    state: StateParams, detection: DetectionParams, scanned: dict[str, list[float]]
+) -> dict[str, list[float]]:
+    """The r, theta, alpha, eta and gamma columns of a grid whose
+    ``scanned`` parameters take the listed float values and whose others
+    take those of ``state`` and ``detection``.
+
+    Each scanned column is checked once, by the rule of its dataclass
+    field.  InvalidParameterError names the field and value that building
+    the points one by one would stop at: the first point with a broken
+    rule, and there the first field in ``PARAMETERS`` order.
+    """
+    broken = []
+    for name, values in scanned.items():
+        message, valid = _RULES[name]
+        ok = valid(np.array(values))
+        if not ok.all():
+            at = int(np.argmin(ok))
+            broken.append((at, PARAMETERS.index(name), name, message, values[at]))
+    if broken:
+        _, _, name, message, value = min(broken)
+        raise InvalidParameterError(name, f"{message}, got {value}")
+    size = len(next(iter(scanned.values())))
     base = vars(state) | vars(detection)
-    sets_state = not _STATE_PARAMETERS.isdisjoint(names)
-    sets_detection = not _STATE_PARAMETERS.issuperset(names)
-    points = []
-    for values in grid:
-        fields = base | dict(zip(names, values))
-        if sets_state:
-            state = StateParams(fields["r"], fields["theta"], fields["alpha"])
-        if sets_detection:
-            detection = DetectionParams(fields["eta"], fields["gamma"])
-        points.append((state, detection))
-    return points
+    return {name: scanned[name] if name in scanned else [base[name]] * size for name in PARAMETERS}
+
+
+def _point(
+    state: StateParams, detection: DetectionParams, name: str, value: float
+) -> tuple[StateParams, DetectionParams]:
+    """The (state, detection) point where parameter ``name`` takes ``value``."""
+    if name in _STATE_PARAMETERS:
+        return replace(state, **{name: value}), detection
+    return state, replace(detection, **{name: value})
 
 
 def evaluate_point(
@@ -222,12 +255,13 @@ _CLICK_NUMBERS = np.arange(N_DETECTORS + 1.0)
 # at most one more matrix: 8.4 MB at 256 x 4097.
 _GRID_COLUMNS = 256
 
-# The states, tol and matrix of the last packing, kept as ``clicks`` keeps
-# its last operator and read and replaced whole, so threads share it safely.
+# The (r, theta, alpha) states, tol and matrix of the last packing, kept as
+# ``clicks`` keeps its last operator and read and replaced whole, so threads
+# share it safely.
 _last_packing: list = [None, None, None]
 
 
-def _packed(states: list[StateParams], tol: float) -> np.ndarray:
+def _packed(states: list[tuple[float, float, float]], tol: float) -> np.ndarray:
     """``packed_distributions(states, tol)``, or the kept matrix when the
     last packing had the same states and tol."""
     kept_states, kept_tol, packed = _last_packing
@@ -237,21 +271,44 @@ def _packed(states: list[StateParams], tol: float) -> np.ndarray:
     return packed
 
 
-def _click_grid(packed: np.ndarray, detection: DetectionParams) -> list[CoherenceTriple | str]:
-    """Click-chain coherence of every column of ``packed`` at ``detection``:
-    one product with the click operator at the full width, then the
-    coincidence ratios of all columns at once.  Where ``evaluate_point``
-    raises NoSignalError, the column gives that error's message instead."""
-    probs = _click_operator(detection.eta, detection.gamma, packed.shape[0]) @ packed
-    mean = _CLICK_NUMBERS @ probs
+def _grid_results(
+    mean: np.ndarray,
+    reason: Callable[[float], str | None],
+    ratios: Callable[[np.ndarray], tuple],
+) -> list[CoherenceTriple | str]:
+    """The triple of every column from its ``mean`` and the (g2, g3, g4)
+    arrays that ``ratios`` gives for the means, or the message ``reason``
+    gives where the coherence is undefined."""
     means = mean.tolist()
-    reasons = [_no_signal(n) for n in means]
-    # Columns without signal get <n> = 1, so no division warns; they
-    # are dropped below.
-    defined = np.array([reason is None for reason in reasons])
-    ratios = _coincidence_ratios(probs, np.where(defined, mean, 1.0))
-    columns = zip(reasons, *(g.tolist() for g in ratios), means)
-    return [reason or CoherenceTriple(g2, g3, g4, n) for reason, g2, g3, g4, n in columns]
+    reasons = [reason(n) for n in means]
+    # Undefined columns get a mean of 1, so no division warns; they are
+    # dropped below.
+    defined = np.array([why is None for why in reasons])
+    columns = zip(reasons, *(g.tolist() for g in ratios(np.where(defined, mean, 1.0))), means)
+    return [why or CoherenceTriple(g2, g3, g4, n) for why, g2, g3, g4, n in columns]
+
+
+def _click_grid(packed: np.ndarray, eta: float, gamma: float) -> list[CoherenceTriple | str]:
+    """Click-chain coherence of every column of ``packed`` at the detector
+    (eta, gamma): one product with the click operator at the full width,
+    then the coincidence ratios of all columns at once.  Where
+    ``evaluate_point`` raises NoSignalError, the column gives that error's
+    message instead."""
+    probs = _click_operator(eta, gamma, packed.shape[0]) @ packed
+    return _grid_results(
+        _CLICK_NUMBERS @ probs, _no_signal, lambda n: _coincidence_ratios(probs, n)
+    )
+
+
+def _ideal_grid(
+    r: np.ndarray, theta: np.ndarray, alpha: np.ndarray
+) -> list[CoherenceTriple | str]:
+    """``ideal_coherence`` of every state of the columns, bit for bit, or
+    the message of its UndefinedCoherenceError."""
+    # Python floats overflow to inf and nan without a word; so does the grid.
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1, n2, n3, n4 = _normal_moments(r, theta, alpha, 4)
+        return _grid_results(n1, _undefined, lambda n: _ratios(n, n2, n3, n4))
 
 
 def _sweep_row(values: tuple[float, ...], result: CoherenceTriple | str, spec: SweepSpec) -> SweepRow:
@@ -271,23 +328,25 @@ def _sweep_row(values: tuple[float, ...], result: CoherenceTriple | str, spec: S
 
 
 def _evaluate(
-    points: Sequence[tuple[StateParams, DetectionParams]], pipeline: str, tol: float
+    columns: dict[str, list[float]], pipeline: str, tol: float
 ) -> list[CoherenceTriple | str]:
-    """The coherence of every (state, detection) point, or the message of
-    the error ``evaluate_point`` raises there.  Click points are evaluated
-    by detector: the states that share one (eta, gamma) take one
+    """The coherence at every point of the grid ``columns`` (``_columns``),
+    or the message of the error ``evaluate_point`` raises there.  An ideal
+    grid is one ``_ideal_grid`` call.  Click points are evaluated by
+    detector: the states that share one (eta, gamma) pair take one
     ``_click_grid`` product per ``_GRID_COLUMNS``."""
     if pipeline == "ideal":
-        return [_point_result(state, detection, pipeline, tol) for state, detection in points]
-    by_detector: dict[DetectionParams, list[int]] = {}
-    for i, (_, detection) in enumerate(points):
-        by_detector.setdefault(detection, []).append(i)
-    results: list = [None] * len(points)
-    for detection, indices in by_detector.items():
+        return _ideal_grid(*(np.array(columns[name]) for name in ("r", "theta", "alpha")))
+    states = list(zip(columns["r"], columns["theta"], columns["alpha"]))
+    by_detector: dict[tuple[float, float], list[int]] = {}
+    for i, detector in enumerate(zip(columns["eta"], columns["gamma"])):
+        by_detector.setdefault(detector, []).append(i)
+    results: list = [None] * len(states)
+    for (eta, gamma), indices in by_detector.items():
         for start in range(0, len(indices), _GRID_COLUMNS):
             chunk = indices[start : start + _GRID_COLUMNS]
-            packed = _packed([points[i][0] for i in chunk], tol)
-            for i, result in zip(chunk, _click_grid(packed, detection)):
+            packed = _packed([states[i] for i in chunk], tol)
+            for i, result in zip(chunk, _click_grid(packed, eta, gamma)):
                 results[i] = result
     return results
 
@@ -296,7 +355,8 @@ def sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the pipeline over the grid; rows in row-major axis order."""
     names = tuple(axis.name for axis in spec.axes)
     grid = list(itertools.product(*(axis.grid().tolist() for axis in spec.axes)))
-    results = _evaluate(_points(spec.state, spec.detection, names, grid), spec.pipeline, spec.tol)
+    scanned = {name: list(values) for name, values in zip(names, zip(*grid))}
+    results = _evaluate(_columns(spec.state, spec.detection, scanned), spec.pipeline, spec.tol)
     return SweepTable(
         axis_names=names,
         rows=tuple(_sweep_row(values, result, spec) for values, result in zip(grid, results)),
@@ -467,10 +527,10 @@ def find_extremum(
     sign = 1.0 if mode == "min" else -1.0
 
     def objective(value: float) -> float:
-        (point,) = _points(state, detection, (parameter,), [(value,)])
+        point = _point(state, detection, parameter, value)
         return _order_value(_point_result(*point, pipeline, tol), order, sign)
 
-    coarse = _evaluate(_points(state, detection, (parameter,), zip(grid.tolist())), pipeline, tol)
+    coarse = _evaluate(_columns(state, detection, {parameter: grid.tolist()}), pipeline, tol)
     values = np.array([_order_value(result, order, sign) for result in coarse])
     location, value, width, boundary = _refine_minimum(
         objective, grid, values, log_scale, bracket_tol
@@ -509,14 +569,14 @@ def minimized_maps(
         raise InvalidParameterError("axes", "expected a gamma axis and an eta axis")
     _check_pipeline(pipeline)
     grid, _ = _coarse_grid("alpha", alpha_bounds, coarse_points)
-    coarse = [StateParams(state.r, state.theta, alpha) for alpha in grid.tolist()]
+    coarse = {"alpha": grid.tolist()}
     rows: dict[int, list[SweepRow]] = {order: [] for order in orders}
     for gamma in gamma_axis.grid():
         for eta in eta_axis.grid():
             detection = DetectionParams(eta=float(eta), gamma=float(gamma))
             # Fetched at the widest coarse support first, the kept
             # operator serves every coarse and refinement state.
-            results = _evaluate([(s, detection) for s in coarse], pipeline, 1e-12)
+            results = _evaluate(_columns(state, detection, coarse), pipeline, 1e-12)
             refined: dict[float, CoherenceTriple | str] = {}
 
             def result_at(alpha: float) -> CoherenceTriple | str:

@@ -1,7 +1,7 @@
 """The cached click operator against the per-distribution reference chain
 (loss, noise, occupancy) and an exact-rational recurrence, the click g2,
 g3 and g4 of independently firing detectors, the low-efficiency slopes of
-the click g2 and g3, and the package's import footprint."""
+the click g2, g3 and g4, and the package's import footprint."""
 
 import math
 import os
@@ -31,7 +31,7 @@ from hbt4 import (
 )
 from hbt4 import clicks
 from hbt4.clicks import _click_operator, detected_clicks
-from hbt4.coherence import gaussian_moments
+from hbt4.coherence import _normal_moments, gaussian_moments
 
 DETECTIONS = [
     DetectionParams(eta=1.0, gamma=0.0),
@@ -254,6 +254,17 @@ def test_g3_low_efficiency_slope():
             measured = (click.g3 / ideal_coherence(state).g3 - 1.0) / eta
             # The O(eta^2) remainder: at most 0.41 eta over these states.
             assert abs(measured - slope) <= eta
+
+
+def test_g4_low_efficiency_slope():
+    for state in _low_efficiency_states():
+        n1, n2, _, n4, n5 = _normal_moments(state.r, state.theta, state.alpha, 5)
+        slope = -(n5 / n4 - n2 / n1) / 2.0
+        for eta in (1e-4, 1e-5):
+            click = evaluate_point(state, DetectionParams(eta=eta, gamma=0.0), "click")
+            measured = (click.g4 / ideal_coherence(state).g4 - 1.0) / eta
+            # The O(eta^2) remainder: at most 1.24 eta over these states.
+            assert abs(measured - slope) <= 3.0 * eta
 
 
 def test_import_does_not_load_scipy():

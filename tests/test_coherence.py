@@ -18,6 +18,7 @@ from hbt4 import (
     ideal_coherence,
     squeezed_distribution,
 )
+from hbt4.coherence import _normal_moments
 
 
 class TestAnalyticIntermediates:
@@ -95,6 +96,48 @@ class TestIdealCoherence:
     def test_moment_ordering_sanity(self):
         n1, n2, n3, n4 = gaussian_moments(StateParams(r=0.4, theta=0.9, alpha=0.7))
         assert n1 > 0 and n2 > 0 and n3 > 0 and n4 > 0
+
+
+    # Antibunching dips at three squeezings, a super-bunching point and a
+    # strongly squeezed state.  Against 60-digit references the
+    # factorial-moment oracle is within 4.1e-14 at these states, and the
+    # Wick pairings of <a+^k a^k>, whose terms cancel near a dip, were
+    # off by up to 2.9e-11 in g4.
+    @pytest.mark.parametrize(
+        "r, theta, alpha",
+        [(1e-3, 0.0, 0.074), (1e-5, 0.0, 0.0074), (1e-7, 0.0, 7.4e-4), (5e-4, math.pi, 0.016),
+         (1.0, 2.0, 3.0)],
+    )
+    def test_closed_form_keeps_its_digits_at_dips(self, r, theta, alpha):
+        params = StateParams(r=r, theta=theta, alpha=alpha)
+        closed = ideal_coherence(params)
+        oracle = factorial_moments(squeezed_distribution(params))
+        for got, want in zip((closed.g2, closed.g3, closed.g4), (oracle.g2, oracle.g3, oracle.g4)):
+            assert abs(got - want) <= 1e-12 * want
+
+
+class TestNormalMoments:
+    def test_grid_equals_its_points_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        r = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 1.5, 98)])
+        theta = rng.uniform(0.0, 2.0 * math.pi, 100)
+        alpha = np.concatenate([[0.0, 1e-3], rng.uniform(0.0, 3.0, 98)])
+        grid = _normal_moments(r, theta, alpha, 5)
+        for i, state in enumerate(zip(r.tolist(), theta.tolist(), alpha.tolist())):
+            point = _normal_moments(*state, 5)
+            assert [float(n[i]) for n in grid] == point
+
+    @pytest.mark.parametrize(
+        "r, theta, alpha", [(0.0, 0.0, 1.3), (0.4, 0.9, 0.7), (1e-3, 0.0, 0.074), (1.0, 2.0, 3.0)]
+    )
+    def test_moments_are_falling_factorial_sums(self, r, theta, alpha):
+        # N_k = <n (n - 1) ... (n - k + 1)>, up to N_5.
+        p = squeezed_distribution(StateParams(r=r, theta=theta, alpha=alpha)).probs
+        n = np.arange(p.size, dtype=float)
+        falling = np.ones_like(n)
+        for k, moment in enumerate(_normal_moments(r, theta, alpha, 5), start=1):
+            falling = falling * (n - (k - 1))
+            assert moment == pytest.approx(float(falling @ p), rel=1e-12)
 
 
 class TestFourthOrderVariant:

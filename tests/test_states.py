@@ -178,10 +178,15 @@ class TestSqueezedDistribution:
         assert len(d) >= n_mass + 1 + 16
 
 
+def pack(states, tol=1e-12):
+    """``packed_distributions`` of a list of StateParams."""
+    return packed_distributions([(s.r, s.theta, s.alpha) for s in states], tol)
+
+
 def assert_columns_are_scalar_builds(states, tol=1e-12) -> list[int]:
     """Every column of the grid build is the scalar build bit for bit, then
     zeros; returns the supports."""
-    packed = packed_distributions(states, tol)
+    packed = pack(states, tol)
     dists = [squeezed_distribution(s, tol) for s in states]
     supports = [len(d) for d in dists]
     assert packed.shape == (max(supports), len(states))
@@ -235,8 +240,8 @@ class TestPackedDistributions:
                 rng.uniform(0.0, 3.0, 255),
             )
         ]
-        alone = packed_distributions([state])[:, 0]
-        among = packed_distributions(others[:100] + [state] + others[100:])[:, 100]
+        alone = pack([state])[:, 0]
+        among = pack(others[:100] + [state] + others[100:])[:, 100]
         assert among[: alone.size].tobytes() == alone.tobytes()
         assert not among[alone.size :].any()
 
@@ -247,16 +252,16 @@ class TestPackedDistributions:
         with pytest.raises(TruncationError) as scalar:
             squeezed_distribution(bad[0])
         with pytest.raises(TruncationError) as grid:
-            packed_distributions(fine[:20] + bad + fine[20:])
+            pack(fine[:20] + bad + fine[20:])
         assert str(grid.value) == str(scalar.value)
 
     def test_rejects_empty_grids_and_bad_tolerances(self):
         with pytest.raises(InvalidParameterError):
             packed_distributions([])
         with pytest.raises(InvalidParameterError):
-            packed_distributions([VACUUM], tol=1e-5)
+            pack([VACUUM], tol=1e-5)
         with pytest.raises(InvalidParameterError, match="tol"):
-            packed_distributions([VACUUM], tol="x")
+            pack([VACUUM], tol="x")
 
     def test_peak_memory_of_a_full_grid_stays_within_its_bound(self):
         # The bound stated with sweep._GRID_COLUMNS: 12 MB at supports of
@@ -264,7 +269,7 @@ class TestPackedDistributions:
         states = [StateParams(0.3, math.pi, a) for a in np.linspace(20.0, 24.0, _GRID_COLUMNS)]
         tracemalloc.start()
         try:
-            packed = packed_distributions(states)
+            packed = pack(states)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

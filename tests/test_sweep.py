@@ -200,13 +200,53 @@ class TestGridEvaluation:
         state = StateParams(r=0.05, theta=0.4, alpha=0.3)
         assert_rows_match_points(SweepSpec((axis,), state, FEASIBLE, pipeline="click"))
 
+    @pytest.mark.parametrize(
+        "axes, undefined",
+        [
+            # The first row is the vacuum.
+            ((SweepAxis("alpha", 0.0, 3.0, 41),), 1),
+            # <n>^4 underflows in every row.
+            ((SweepAxis("alpha", 1e-90, 1e-70, 9, "log"),), 9),
+            ((SweepAxis("r", 0.0, 1.5, 41),), 0),
+            ((SweepAxis("theta", 0.0, 2.0 * math.pi, 41),), 0),
+            ((SweepAxis("alpha", 1e-3, 1.0, 13, "log"), SweepAxis("eta", 0.1, 1.0, 4)), 0),
+        ],
+        ids=["alpha-from-vacuum", "alpha-unresolved", "r", "theta", "alpha-by-eta"],
+    )
+    def test_ideal_rows_are_their_points_bit_for_bit(self, axes, undefined):
+        spec = SweepSpec(axes, StateParams(r=0.0, theta=0.4, alpha=0.3))
+        errors = 0
+        for row in sweep(spec).rows:
+            fields = vars(spec.state) | dict(zip((a.name for a in axes), row.axis_values))
+            state = StateParams(fields["r"], fields["theta"], fields["alpha"])
+            try:
+                point = ideal_coherence(state)
+            except UndefinedCoherenceError as exc:
+                errors += 1
+                assert row.diagnostics == str(exc)
+                continue
+            assert repr((row.g2, row.g3, row.g4, row.mean)) == repr(
+                (point.g2, point.g3, point.g4, point.mean_clicks)
+            )
+        assert errors == undefined
+
+    def test_ideal_grids_make_no_point_calls(self, monkeypatch):
+        calls = []
+        def counted(*args):
+            calls.append(args)
+            return ideal_coherence(*args)
+
+        monkeypatch.setattr(sweep_module, "ideal_coherence", counted)
+        sweep(SweepSpec((SweepAxis("alpha", 1e-3, 1.0, 40, "log"),), WEAK_DIP))
+        assert calls == []
+
     def test_alpha_by_eta_sweep_matches_points(self, monkeypatch):
         grids = []
         click_grid = sweep_module._click_grid
 
-        def counted(packed, detection):
-            grids.append(detection)
-            return click_grid(packed, detection)
+        def counted(packed, eta, gamma):
+            grids.append((eta, gamma))
+            return click_grid(packed, eta, gamma)
 
         monkeypatch.setattr(sweep_module, "_click_grid", counted)
         spec = SweepSpec(
@@ -244,7 +284,7 @@ class TestGridEvaluation:
             packed_states.clear()
             monkeypatch.setattr(sweep_module, "_last_packing", [None, None, None])
             find_extremum(2, parameter, bounds, state, DetectionParams(1.0, 1e-5), pipeline="click")
-            assert packed_states == [state]
+            assert packed_states == [(state.r, state.theta, state.alpha)]
 
     def test_consecutive_grids_of_the_same_states_pack_once(self, monkeypatch):
         packings = []
@@ -335,11 +375,56 @@ class TestGridEvaluation:
         assert all(row.diagnostics.startswith(too_small) for row in table.rows[:8])
 
     def test_grid_points_keep_the_field_checks(self):
+        # Each grid raises the field and message of the first point, in
+        # row-major order, whose StateParams or DetectionParams would fail.
         state = StateParams(r=0.1, theta=0.0, alpha=0.5)
-        with pytest.raises(InvalidParameterError, match="^eta"):
-            sweep(SweepSpec((SweepAxis("eta", 0.5, 1.5, 3),), state, pipeline="click"))
-        with pytest.raises(InvalidParameterError, match="^r"):
-            sweep(SweepSpec((SweepAxis("r", -1.0, 1.0, 3), SweepAxis("gamma", 0.0, 1.0, 2)), state))
+        eta_axis, gamma_axis = SweepAxis("eta", 0.5, 1.5, 3), SweepAxis("gamma", -1.0, 1.0, 3)
+        calls = [
+            (
+                lambda: sweep(SweepSpec((eta_axis,), state, pipeline="click")),
+                "eta: must lie in [0, 1], got 1.5",
+            ),
+            (
+                lambda: sweep(SweepSpec((eta_axis,), state, pipeline="ideal")),
+                "eta: must lie in [0, 1], got 1.5",
+            ),
+            (
+                lambda: sweep(SweepSpec((gamma_axis,), state, pipeline="click")),
+                "gamma: must be finite and >= 0, got -1.0",
+            ),
+            (
+                # gamma breaks at the first point, eta only at the seventh.
+                lambda: sweep(SweepSpec((eta_axis, gamma_axis), state, pipeline="click")),
+                "gamma: must be finite and >= 0, got -1.0",
+            ),
+            (
+                # Both break at the first point: r is checked first.
+                lambda: sweep(SweepSpec((gamma_axis, SweepAxis("r", -1.0, 1.0, 2)), state)),
+                "r: must be finite and >= 0, got -1.0",
+            ),
+            (
+                lambda: sweep(
+                    SweepSpec((SweepAxis("r", -1.0, 1.0, 3), SweepAxis("gamma", 0.0, 1.0, 2)), state)
+                ),
+                "r: must be finite and >= 0, got -1.0",
+            ),
+            (
+                lambda: find_extremum(2, "eta", (-0.5, 0.5), state, pipeline="click"),
+                "eta: must lie in [0, 1], got -0.5",
+            ),
+            (
+                lambda: find_extremum(2, "eta", (0.5, 1.5), state, pipeline="click"),
+                "eta: must lie in [0, 1], got 1.0025125628140703",
+            ),
+            (
+                lambda: find_extremum(3, "eta", (0.5, 1.5), state),
+                "eta: must lie in [0, 1], got 1.0025125628140703",
+            ),
+        ]
+        for call, message in calls:
+            with pytest.raises(InvalidParameterError) as error:
+                call()
+            assert str(error.value) == message
 
     def test_unknown_pipelines_are_rejected_everywhere(self):
         state = StateParams(r=0.1, theta=0.0, alpha=0.5)
@@ -722,7 +807,7 @@ class TestMinimizedMaps:
             return build(params, tol)
 
         def counted_grid(states, tol=1e-12):
-            alphas.extend(s.alpha for s in states)
+            alphas.extend(alpha for _, _, alpha in states)
             return build_grid(states, tol)
 
         monkeypatch.setattr(sweep_module, "squeezed_distribution", counted)
