@@ -33,7 +33,6 @@ to the trusted value.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -98,15 +97,6 @@ def _each(f, x):
     return f(x)
 
 
-@functools.lru_cache(maxsize=None)
-def _pairings(k_max: int) -> tuple[tuple[float, ...], ...]:
-    """The weights C(k, j)^2 j! of N_k's terms, j = 1..k, for k = 1..k_max."""
-    return tuple(
-        tuple(float(math.comb(k, j) ** 2 * math.factorial(j)) for j in range(1, k + 1))
-        for k in range(1, k_max + 1)
-    )
-
-
 def _normal_moments(r, theta, alpha, k_max: int) -> list:
     """N_1..N_k_max = <a+^k a^k> of the states (r, theta, alpha): numbers,
     or float arrays holding one state per entry.
@@ -131,10 +121,12 @@ def _normal_moments(r, theta, alpha, k_max: int) -> list:
         )
     moduli = [hr * hr + hi * hi for hr, hi in h]
     moments = []
-    for k, weights in enumerate(_pairings(k_max), start=1):
-        total, nb_j = moduli[k], 1.0
-        for j, weight in enumerate(weights, start=1):
+    for k in range(1, k_max + 1):
+        total, nb_j, weight = moduli[k], 1.0, 1
+        for j in range(1, k + 1):
             nb_j = nb_j * nb
+            # C(k, j)^2 j!, from C(k, j - 1)^2 (j - 1)!.
+            weight = weight * (k - j + 1) ** 2 // j
             total = total + weight * nb_j * moduli[k - j]
         moments.append(total)
     return moments

@@ -70,7 +70,8 @@ def _check_fields(params, rules: dict) -> None:
     floats (``_real``), then raise InvalidParameterError at the first field
     that breaks its rule."""
     for name in rules:
-        object.__setattr__(params, name, _real(name, getattr(params, name)))
+        if type(value := getattr(params, name)) is not float:
+            object.__setattr__(params, name, _real(name, value))
     for name, (message, valid) in rules.items():
         if not valid(value := getattr(params, name)):
             raise InvalidParameterError(name, f"{message}, got {value}")

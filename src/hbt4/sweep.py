@@ -11,12 +11,11 @@ its photon-number distribution times the cached 5 x N click operator of
 its detector (``clicks.detected_clicks``), one matrix-vector product.
 Sweeps and the coarse grids of extremum searches and minimized maps go
 through one evaluator, ``_evaluate``, which takes the grid as parameter
-columns: r, theta, alpha, eta and gamma as lists of floats (``_columns``),
-checked once per scanned column by the rules of the dataclass fields, so
-that no per-point ``StateParams`` or ``DetectionParams`` is built.  An
-ideal grid is one call of ``coherence._normal_moments`` on the columns,
-which rounds as the single point does.  Click points are grouped by their
-(eta, gamma) pair: the states at one detector are built by
+columns (``_columns``): r, theta, alpha, eta and gamma as lists of floats,
+each scanned column checked once by the rule of its dataclass field.  An
+ideal grid is one call of ``coherence._normal_moments``, which rounds as
+a single point does.  Click points are grouped by their (eta, gamma)
+pair: the states at one detector are built by
 ``states.packed_distributions`` as the columns of one zero-padded N x K
 matrix, running the recurrence for all of them together, the matrix takes
 one product with the operator, and the coincidence ratios of all K columns
@@ -305,10 +304,8 @@ def _ideal_grid(
 ) -> list[CoherenceTriple | str]:
     """``ideal_coherence`` of every state of the columns, bit for bit, or
     the message of its UndefinedCoherenceError."""
-    # Python floats overflow to inf and nan without a word; so does the grid.
-    with np.errstate(over="ignore", invalid="ignore"):
-        n1, n2, n3, n4 = _normal_moments(r, theta, alpha, 4)
-        return _grid_results(n1, _undefined, lambda n: _ratios(n, n2, n3, n4))
+    n1, n2, n3, n4 = _normal_moments(r, theta, alpha, 4)
+    return _grid_results(n1, _undefined, lambda n: _ratios(n, n2, n3, n4))
 
 
 def _sweep_row(values: tuple[float, ...], result: CoherenceTriple | str, spec: SweepSpec) -> SweepRow:
