@@ -7,8 +7,9 @@ file, then explicit flags (flags win).  ``dump-config`` prints the fully
 resolved configuration of any run; feeding that file back via --config
 reproduces the run byte for byte.
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 no signal,
-5 internal invariant violation.
+Exit codes: 0 success, 2 config error, 3 I/O error, 4 undefined coherence
+(UndefinedCoherenceError, NoSignalError included), 5 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
     Hbt4Error,
     InternalInvariantError,
     InvalidParameterError,
-    NoSignalError,
     TruncationError,
     UndefinedCoherenceError,
 )
@@ -238,10 +238,11 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "axis", None):
         config.axes = [_parse_axis(a) for a in args.axis]
     if getattr(args, "bounds", None) is not None:
-        parts = args.bounds.split(":")
-        if len(parts) != 2:
-            raise InvalidParameterError("bounds", f"expected LO:HI, got {args.bounds!r}")
-        config.bounds = [float(parts[0]), float(parts[1])]
+        try:
+            lo, hi = (float(part) for part in args.bounds.split(":"))
+        except ValueError:
+            raise InvalidParameterError("bounds", f"expected LO:HI, got {args.bounds!r}") from None
+        config.bounds = [lo, hi]
     if getattr(args, "set_items", None):
         config.overrides.update(_parse_set(args.set_items))
     return config
@@ -322,16 +323,21 @@ def cmd_point(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig) -> int:
     if not config.axes:
         raise InvalidParameterError("axes", "sweep needs at least one --axis")
-    axes = tuple(
-        SweepAxis(a["name"], a["min"], a["max"], a["points"], a.get("scale", "linear"))
-        for a in config.axes
-    )
+    try:
+        axes = tuple(
+            SweepAxis(a["name"], a["min"], a["max"], a["points"], a.get("scale", "linear"))
+            for a in config.axes
+        )
+    except (KeyError, TypeError):
+        raise InvalidParameterError(
+            "axes", f"each axis needs name, min, max and points, got {config.axes!r}"
+        ) from None
     spec = SweepSpec(
         axes=axes,
         state=_state(config),
         detection=_detection(config),
         pipeline=config.pipeline,
-        orders=tuple(config.orders),
+        orders=config.orders,
         tol=config.tol,
     )
     _emit_table(sweep(spec), config)
@@ -342,7 +348,7 @@ def cmd_extremum(config: RunConfig) -> int:
     result = find_extremum(
         config.order,
         config.param,
-        (config.bounds[0], config.bounds[1]),
+        config.bounds,
         _state(config),
         _detection(config),
         mode=config.mode,
@@ -497,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoSignalError, UndefinedCoherenceError) as exc:
+    except UndefinedCoherenceError as exc:
         print(f"no signal: {exc}", file=sys.stderr)
         return EXIT_NO_SIGNAL
     except OSError as exc:

@@ -84,6 +84,21 @@ class CoherenceTriple:
     mean_clicks: float
 
 
+def _undefined(mean: float, quantity: str) -> str | None:
+    """Why a coherence normalized by the mean ``quantity`` ("photon" or
+    "click") number ``mean`` is undefined, or None where it is defined.
+    Every g_k divides by <n>^k, so zero has no coherence at all.  Below
+    <n>^4 = sys.float_info.min, the fourth-order moment (about <n>^4 / 256
+    for a weak field) is deep in the subnormal range, so g4 would lose its
+    digits to underflow, read 0 and, once <n>^4 itself underflows, NaN or
+    a division by zero."""
+    if mean <= 0.0:
+        return f"mean {quantity} number is zero; coherence undefined"
+    if mean**4 < sys.float_info.min:
+        return f"mean {quantity} number too small to resolve g4 (<n>^4 underflows); coherence undefined"
+    return None
+
+
 # The click operator of the last detector asked for, under its
 # (eta, gamma): at most one entry.  Sweeps, extremum searches and
 # minimized-map cells evaluate their states at one detector in a row, so
@@ -242,29 +257,6 @@ _CORRELATION_WEIGHTS = tuple(
     for k in (2, 3, 4)
 )
 
-_NO_SIGNAL = "mean click number is zero; coherence undefined"
-_UNRESOLVED = "mean click number too small to resolve g4 (<n>^4 underflows); coherence undefined"
-
-
-def _unresolved(n: float) -> bool:
-    """Whether a positive mean (click or photon) number ``n`` is too small
-    to resolve g4: below <n>^4 = sys.float_info.min, the fourth-order
-    moment (G_4, about <n>^4 / 256 for a weak field) is deep in the
-    subnormal range, so g4 would lose its digits to underflow, read 0 and,
-    once <n>^4 itself underflows, NaN or a division by zero."""
-    return n**4 < sys.float_info.min
-
-
-def _no_signal(n: float) -> str | None:
-    """The NoSignalError message for mean click number ``n``, or None where
-    the coherence is defined.  Zero has no signal at all; a positive mean
-    may be too small to resolve (``_unresolved``)."""
-    if n <= 0.0:
-        return _NO_SIGNAL
-    if _unresolved(n):
-        return _UNRESOLVED
-    return None
-
 
 def _coincidence_ratios(probs, n) -> tuple:
     """g2, g3 and g4 of the click distribution ``probs`` (5 entries, or
@@ -292,10 +284,10 @@ def coherence_from_clicks(clicks: ClickDistribution) -> CoherenceTriple:
     so g2 = (8/3 G_2 + 8 G_3 + 16 G_4) / <n>^2, g3 = 16 (G_3 + 4 G_4) / <n>^3
     and g4 = 256 G_4 / <n>^4.  Independently firing detectors (a coherent
     state, noise alone) give every g_k = 1.  NoSignalError when <n> is zero
-    or <n>^4 is below the smallest normal float (``_no_signal``).
+    or <n>^4 is below the smallest normal float (``_undefined``).
     """
     n = clicks.mean_clicks
-    if reason := _no_signal(n):
+    if reason := _undefined(n, "click"):
         raise NoSignalError(reason)
     g2, g3, g4 = _coincidence_ratios(clicks.probs, n)
     return CoherenceTriple(g2=g2, g3=g3, g4=g4, mean_clicks=n)

@@ -38,21 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clicks import CoherenceTriple, _unresolved
+from .clicks import CoherenceTriple, _undefined
 from .errors import InternalInvariantError, InvalidParameterError, UndefinedCoherenceError
 from .states import PhotonDistribution, StateParams
 
 # Tolerated imaginary residue on quantities that are real by construction.
 _IMAG_TOL = 1e-10
-
-_UNRESOLVED = "mean photon number too small to resolve g4 (<n>^4 underflows); coherence undefined"
-
-
-def _check_resolved(mean: float) -> None:
-    """UndefinedCoherenceError for a positive mean photon number too small
-    to resolve g4, by the click chain's rule (``clicks._unresolved``)."""
-    if _unresolved(mean):
-        raise UndefinedCoherenceError(_UNRESOLVED)
 
 
 @dataclass(frozen=True)
@@ -137,16 +128,6 @@ def gaussian_moments(params: StateParams) -> tuple[float, float, float, float]:
     return tuple(_normal_moments(params.r, params.theta, params.alpha, 4))
 
 
-def _undefined(mean: float) -> str | None:
-    """The UndefinedCoherenceError message of the closed form at mean
-    photon number ``mean``, or None where its coherence is defined."""
-    if mean <= 0.0:
-        return "vacuum input: coherence undefined"
-    if _unresolved(mean):
-        return _UNRESOLVED
-    return None
-
-
 def _ratios(n1, n2, n3, n4) -> tuple:
     """g2, g3, g4 = N_k / N_1^k of moments that are numbers or arrays, in
     products rather than powers, which round differently for the two."""
@@ -158,7 +139,7 @@ def ideal_coherence(params: StateParams) -> CoherenceTriple:
     """Loss- and noise-free coherence of the state; ``mean_clicks`` carries
     the true mean photon number A = |W|^2 + sinh^2 r."""
     n1, n2, n3, n4 = _normal_moments(params.r, params.theta, params.alpha, 4)
-    if reason := _undefined(n1):
+    if reason := _undefined(n1, "photon"):
         raise UndefinedCoherenceError(reason)
     return CoherenceTriple(*_ratios(n1, n2, n3, n4), mean_clicks=n1)
 
@@ -176,9 +157,8 @@ def fourth_order_variant(params: StateParams) -> float:
     nb = math.sinh(r) ** 2
     A = inter.a_val
     B = inter.b_val
-    if A <= 0.0:
-        raise UndefinedCoherenceError("vacuum input: coherence undefined")
-    _check_resolved(A)
+    if reason := _undefined(A, "photon"):
+        raise UndefinedCoherenceError(reason)
     C = inter.c_val
     D = inter.d_val
     bracket = (
@@ -216,9 +196,8 @@ def factorial_moments(dist: PhotonDistribution, order_max: int = 4) -> Coherence
     p = dist.probs
     n = np.arange(p.size, dtype=float)
     mean = float(n @ p)
-    if mean <= 0.0:
-        raise UndefinedCoherenceError("zero-mean distribution: coherence undefined")
-    _check_resolved(mean)
+    if reason := _undefined(mean, "photon"):
+        raise UndefinedCoherenceError(reason)
     out = [math.nan, math.nan, math.nan]
     weight = n.copy()
     for order in range(2, 5):

@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes (see the EXIT_* constants in cli).
+The CLI maps these onto process exit codes (see the EXIT_* constants in
+cli): every UndefinedCoherenceError, NoSignalError included, exits 4.
 """
 
 
@@ -25,8 +26,15 @@ class TruncationError(Hbt4Error):
     requested tail tolerance within the hard size cap."""
 
 
-class NoSignalError(Hbt4Error):
-    """Coherence requested for a signal with zero mean click number.
+class UndefinedCoherenceError(Hbt4Error):
+    """Normalized coherence is undefined: the mean photon or click number
+    it is normalized by is zero, or so small that its fourth power
+    underflows.  One rule decides both (``clicks._undefined``)."""
+
+
+class NoSignalError(UndefinedCoherenceError):
+    """Undefined coherence of click statistics: the mean click number is
+    zero or unresolved, or the detected distribution carries no mass.
 
     ``result`` optionally carries partial output (e.g. a Monte-Carlo
     histogram) gathered before the error was detected.
@@ -35,10 +43,6 @@ class NoSignalError(Hbt4Error):
     def __init__(self, message: str = "zero mean click number", result=None):
         self.result = result
         super().__init__(message)
-
-
-class UndefinedCoherenceError(Hbt4Error):
-    """Normalized coherence is undefined (vacuum input, zero mean)."""
 
 
 class InternalInvariantError(Hbt4Error):

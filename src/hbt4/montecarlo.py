@@ -54,7 +54,6 @@ flight, whatever the number of CPUs the host reports.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -66,11 +65,12 @@ from .clicks import (
     N_DETECTORS,
     ClickDistribution,
     CoherenceTriple,
-    coherence_from_clicks,
+    _coincidence_ratios,
+    _undefined,
 )
 from .detection import DetectionParams, apply_detection
 from .errors import InvalidParameterError, NoSignalError
-from .states import PhotonDistribution, StateParams, _check_tol, squeezed_distribution
+from .states import PhotonDistribution, StateParams, _check_tol, _integer, squeezed_distribution
 
 _CHUNK = 1 << 18
 # A CPU quota does not show in the affinity mask, and each worker holds a
@@ -92,16 +92,10 @@ class McConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("trials", "seed", "condition_min_photons"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameterError(name, "must be an integer")
-        if self.trials < 1:
-            raise InvalidParameterError("trials", "must be >= 1")
-        if not (0 <= self.seed < 2**64):
+        for name, minimum in (("trials", 1), ("seed", 0), ("condition_min_photons", 0)):
+            _integer(name, getattr(self, name), minimum)
+        if self.seed >= 2**64:
             raise InvalidParameterError("seed", "must be a 64-bit unsigned integer")
-        if self.condition_min_photons < 0:
-            raise InvalidParameterError("condition_min_photons", "must be >= 0")
         if (self.state is None) == (self.source is None):
             raise InvalidParameterError("state", "give exactly one of state and source")
         if not isinstance(self.detection, DetectionParams):
@@ -284,8 +278,9 @@ def _coherence_gradients(gamma_hat: np.ndarray) -> tuple[np.ndarray, ...]:
 def run_mc(config: McConfig) -> McResult:
     """Run the simulation and estimate click probabilities and coherences.
 
-    Raises NoSignalError (with the result attached) when no clicks at all
-    were observed, since the coherence normalization is then undefined.
+    Raises NoSignalError, with the result attached and NaN coherences, where
+    the estimated mean click number leaves the coherence undefined
+    (``clicks._undefined``): no clicks at all, or too few to resolve g4.
     """
     samplers, weights, trial_counts = _strata(config, _source_distribution(config))
     histograms = _histograms(config, samplers, trial_counts)
@@ -300,22 +295,18 @@ def run_mc(config: McConfig) -> McResult:
     gamma_se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
     clicks = ClickDistribution(probs=np.clip(gamma_hat, 0.0, None))
-    if clicks.mean_clicks <= 0.0:
+    n = clicks.mean_clicks
+    if reason := _undefined(n, "click"):
+        nan = math.nan
         partial = McResult(
-            click_histogram=click_histogram,
-            gamma_hat=gamma_hat,
-            gamma_se=gamma_se,
-            estimated=CoherenceTriple(math.nan, math.nan, math.nan, 0.0),
-            estimated_se=(math.nan, math.nan, math.nan),
+            click_histogram, gamma_hat, gamma_se, CoherenceTriple(nan, nan, nan, n), (nan, nan, nan)
         )
-        raise NoSignalError("no clicks observed in any trial", result=partial)
-    estimated = coherence_from_clicks(clicks)
+        raise NoSignalError(reason, result=partial)
     grads = _coherence_gradients(gamma_hat)
-    ses = tuple(float(math.sqrt(max(0.0, g @ cov @ g))) for g in grads)
     return McResult(
         click_histogram=click_histogram,
         gamma_hat=gamma_hat,
         gamma_se=gamma_se,
-        estimated=estimated,
-        estimated_se=ses,
+        estimated=CoherenceTriple(*_coincidence_ratios(clicks.probs, n), mean_clicks=n),
+        estimated_se=tuple(float(math.sqrt(max(0.0, g @ cov @ g))) for g in grads),
     )

@@ -55,6 +55,14 @@ def _real(field: str, value) -> float:
     return float(value)
 
 
+def _integer(field: str, value, minimum: int):
+    """``value``; InvalidParameterError unless it is an integer, not a
+    bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidParameterError(field, f"must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 # The rule of each parameter field: its message and a test of valid values
 # that holds elementwise on float arrays too, so that a grid's columns are
 # checked by the rules of its points.
@@ -127,8 +135,7 @@ class PhotonDistribution:
 
 def fock_distribution(n: int) -> PhotonDistribution:
     """Deterministic ``n``-photon source (useful as a diagnostic input)."""
-    if n < 0:
-        raise InvalidParameterError("n", "photon number must be >= 0")
+    _integer("n", n, 0)
     probs = np.zeros(n + 1)
     probs[n] = 1.0
     return PhotonDistribution(probs=probs, tail_mass=0.0)

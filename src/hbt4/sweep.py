@@ -2,9 +2,11 @@
 
 Sweeps evaluate either the loss-free closed form ("ideal") or the full
 detection-plus-click chain ("click") over 1- or 2-axis grids, emitting
-rows in row-major axis order.  Per-point failures (vacuum input, zero
-signal, or a mean too small to resolve g4) are recorded in the row
-diagnostics and never abort a sweep.
+rows in row-major axis order.  Where the coherence is undefined, at a mean
+photon or click number that is zero or too small to resolve g4, one rule
+(``clicks._undefined``) gives the row's diagnostics message, the message
+of the UndefinedCoherenceError that ``evaluate_point`` raises there; such
+a point never aborts a sweep.
 
 A single point (``evaluate_point``) is ``ideal_coherence`` of its state, or
 its photon-number distribution times the cached 5 x N click operator of
@@ -20,8 +22,7 @@ pair: the states at one detector are built by
 matrix, running the recurrence for all of them together, the matrix takes
 one product with the operator, and the coincidence ratios of all K columns
 follow from the weight table that ``clicks.coherence_from_clicks`` uses.
-An undefined point gives the message of the error ``evaluate_point``
-raises there.  The per-distribution chain,
+The per-distribution chain,
 ``clicks.click_coherence(apply_detection(...))``, is the reference of both.
 
 Extremum searches run a coarse grid (log-spaced for amplitude-like
@@ -48,17 +49,18 @@ from .clicks import (
     CoherenceTriple,
     _click_operator,
     _coincidence_ratios,
-    _no_signal,
+    _undefined,
     coherence_from_clicks,
     detected_clicks,
 )
-from .coherence import _normal_moments, _ratios, _undefined, ideal_coherence
+from .coherence import _normal_moments, _ratios, ideal_coherence
 from .detection import _DETECTION_RULES, DetectionParams
-from .errors import Hbt4Error, InvalidParameterError, NoSignalError, UndefinedCoherenceError
+from .errors import Hbt4Error, InvalidParameterError, UndefinedCoherenceError
 from .states import (
     _STATE_RULES,
     StateParams,
     _check_tol,
+    _integer,
     _real,
     packed_distributions,
     squeezed_distribution,
@@ -95,10 +97,7 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in PARAMETERS:
             raise InvalidParameterError("axis.name", f"unknown parameter {self.name!r}")
-        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
-            raise InvalidParameterError("axis.points", f"must be an integer, got {self.points!r}")
-        if self.points < 2:
-            raise InvalidParameterError("axis.points", "must be >= 2")
+        _integer("axis.points", self.points, 2)
         for name in ("start", "stop"):
             object.__setattr__(self, name, _real("axis.bounds", getattr(self, name)))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -129,7 +128,7 @@ class SweepSpec:
         if not (1 <= len(self.axes) <= 2):
             raise InvalidParameterError("axes", "need 1 or 2 axes")
         _check_pipeline(self.pipeline)
-        _check_orders(self.orders)
+        object.__setattr__(self, "orders", _check_orders(self.orders))
         _check_tol(self.tol)
 
 
@@ -241,7 +240,7 @@ def _point_result(
     is undefined."""
     try:
         return evaluate_point(state, detection, pipeline, tol)
-    except (UndefinedCoherenceError, NoSignalError) as exc:
+    except UndefinedCoherenceError as exc:
         return str(exc)
 
 
@@ -271,15 +270,14 @@ def _packed(states: list[tuple[float, float, float]], tol: float) -> np.ndarray:
 
 
 def _grid_results(
-    mean: np.ndarray,
-    reason: Callable[[float], str | None],
-    ratios: Callable[[np.ndarray], tuple],
+    mean: np.ndarray, quantity: str, ratios: Callable[[np.ndarray], tuple]
 ) -> list[CoherenceTriple | str]:
     """The triple of every column from its ``mean`` and the (g2, g3, g4)
-    arrays that ``ratios`` gives for the means, or the message ``reason``
-    gives where the coherence is undefined."""
+    arrays that ``ratios`` gives for the means, or, where the coherence is
+    undefined, the message of ``clicks._undefined`` for the mean
+    ``quantity`` number."""
     means = mean.tolist()
-    reasons = [reason(n) for n in means]
+    reasons = [_undefined(n, quantity) for n in means]
     # Undefined columns get a mean of 1, so no division warns; they are
     # dropped below.
     defined = np.array([why is None for why in reasons])
@@ -294,9 +292,7 @@ def _click_grid(packed: np.ndarray, eta: float, gamma: float) -> list[CoherenceT
     ``evaluate_point`` raises NoSignalError, the column gives that error's
     message instead."""
     probs = _click_operator(eta, gamma, packed.shape[0]) @ packed
-    return _grid_results(
-        _CLICK_NUMBERS @ probs, _no_signal, lambda n: _coincidence_ratios(probs, n)
-    )
+    return _grid_results(_CLICK_NUMBERS @ probs, "click", lambda n: _coincidence_ratios(probs, n))
 
 
 def _ideal_grid(
@@ -305,7 +301,7 @@ def _ideal_grid(
     """``ideal_coherence`` of every state of the columns, bit for bit, or
     the message of its UndefinedCoherenceError."""
     n1, n2, n3, n4 = _normal_moments(r, theta, alpha, 4)
-    return _grid_results(n1, _undefined, lambda n: _ratios(n, n2, n3, n4))
+    return _grid_results(n1, "photon", lambda n: _ratios(n, n2, n3, n4))
 
 
 def _sweep_row(values: tuple[float, ...], result: CoherenceTriple | str, spec: SweepSpec) -> SweepRow:
@@ -374,11 +370,8 @@ def _check_orders(orders) -> tuple[int, ...]:
         values = tuple(orders)
     except TypeError:
         raise InvalidParameterError("orders", f"must be a list, got {orders!r}") from None
-    if (
-        not values
-        or any(not isinstance(o, numbers.Integral) or o not in (2, 3, 4) for o in values)
-        or len(set(values)) != len(values)
-    ):
+    highest = max((_integer("orders", o, 2) for o in values), default=5)
+    if highest > 4 or len(set(values)) < len(values):
         raise InvalidParameterError("orders", f"must be distinct values of 2, 3, 4, got {orders!r}")
     return values
 
@@ -387,9 +380,11 @@ def _coarse_grid(
     parameter: str, bounds: tuple[float, float], points: int
 ) -> tuple[np.ndarray, bool]:
     """The coarse search grid over ``bounds`` and whether it is log-spaced."""
-    if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 3:
-        raise InvalidParameterError("coarse_points", f"must be an integer >= 3, got {points!r}")
-    lo, hi = (_real("bounds", b) for b in bounds)
+    _integer("coarse_points", points, 3)
+    try:
+        lo, hi = (_real("bounds", b) for b in bounds)
+    except (TypeError, ValueError):
+        raise InvalidParameterError("bounds", f"must be a pair of numbers, got {bounds!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidParameterError("bounds", "must be finite with lower < upper")
     log_scale = parameter in _LOG_PARAMS

@@ -507,6 +507,30 @@ class TestConfigRoundTrip:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "command, config, flags, field",
+        [
+            ("extremum", None, ("--bounds", "x:1"), "bounds"),
+            ("extremum", {"bounds": [0.1]}, (), "bounds"),
+            ("sweep", {"axes": [{"name": "alpha"}]}, (), "axes"),
+            ("sweep", {"orders": 5}, ("--axis", "alpha:0.1:1:3"), "orders"),
+            ("mc", {"fock": "x"}, (), "n"),
+        ],
+        ids=[
+            "unparsable-bounds-flag", "one-bound", "axis-without-bounds", "orders-not-a-list",
+            "fock-not-an-integer",
+        ],
+    )
+    def test_malformed_input_is_config_error(self, capsys, tmp_path, command, config, flags, field):
+        if config is not None:
+            config_path = tmp_path / "bad.json"
+            config_path.write_text(json.dumps(config))
+            flags = ("--config", str(config_path), *flags)
+        code, out, err = run_cli(capsys, command, *flags)
+        assert code == 2
+        assert err.startswith(f"config error: {field}: ")
+        assert out == ""
+
     def test_flags_override_config_file(self, capsys, tmp_path):
         config_path = tmp_path / "base.json"
         config_path.write_text(json.dumps({"schema_version": 1, "r": 0.5, "alpha": 1.0}))

@@ -105,6 +105,20 @@ class TestVacuum:
         assert histogram[0] == 10_000
         assert histogram[1:].sum() == 0
 
+    def test_unresolved_mean_keeps_its_result(self):
+        # The stratum {L >= 2} carries 1e-160 of the mass: its clicks give
+        # a mean click number whose fourth power underflows.
+        source = PhotonDistribution(probs=np.array([1.0, 0.0, 1e-160]), tail_mass=0.0)
+        config = McConfig(trials=1000, seed=1, source=source, condition_min_photons=2)
+        with pytest.raises(NoSignalError, match="^mean click number too small") as err:
+            run_mc(config)
+        result = err.value.result
+        assert result.click_histogram.sum() == 1000
+        mean = float(np.arange(5) @ result.gamma_hat)
+        assert 0.0 < result.estimated.mean_clicks == mean < 1e-77
+        assert all(math.isnan(g) for g in (result.estimated.g2, result.estimated.g3, result.estimated.g4))
+        assert all(math.isnan(se) for se in result.estimated_se)
+
     def test_vacuum_with_noise_clicks(self):
         config = McConfig(
             trials=100_000,

@@ -2,6 +2,7 @@
 and distributions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hbt4 import (
     PhotonDistribution,
     StateParams,
+    UndefinedCoherenceError,
     bernoulli_loss,
     click_probabilities,
     coherent_distribution,
@@ -85,15 +87,36 @@ def test_loss_preserves_normalization_and_scales_mean(d, eta):
 # p_2 = 2^-1022 becomes the subnormal but exact 2^-1024 under loss, and g2
 # is 2^-1021 on both sides; a cutoff on subnormal moment sums would zero it.
 @example(d=PhotonDistribution(probs=np.array([0.0, 1.0, 2.0**-1022]), tail_mass=0.0), eta=0.5)
+# p_2 = 5e-324 underflows to 0 under loss: g2 is 1e-323 before and 0 after.
+@example(d=PhotonDistribution(probs=np.array([0.0, 1.0, 5e-324]), tail_mass=0.0), eta=0.5)
+# <n> = 2^-254 is resolved before loss; after it, <n>^4 underflows.
+@example(d=PhotonDistribution(probs=np.array([1.0, 2.0**-254]), tail_mass=0.0), eta=0.05)
 def test_loss_invariance_of_normalized_moments(d, eta):
     try:
         before = factorial_moments(d)
-    except Exception:
-        return  # zero-mean draw
-    after = factorial_moments(bernoulli_loss(d, eta))
-    for a, b in ((after.g2, before.g2), (after.g3, before.g3), (after.g4, before.g4)):
+    except UndefinedCoherenceError:
+        return  # zero or unresolved mean
+    try:
+        after = factorial_moments(bernoulli_loss(d, eta))
+    except UndefinedCoherenceError:
+        # Loss scales <n> by eta, which can take <n>^4 below the smallest
+        # normal float.
+        assert (eta * before.mean_clicks) ** 4 < 1.000001 * sys.float_info.min
+        return
+    for k, a, b in zip((2, 3, 4), (after.g2, after.g3, after.g4), (before.g2, before.g3, before.g4)):
         if math.isnan(b) or b == 0.0:
             assert math.isnan(a) or abs(a) < 1e-8
+        # Loss scales the k-th factorial-moment sum by eta^k.  Below the
+        # smallest normal float a sum keeps absolute, not relative,
+        # precision: each product that loss and the sum form rounds to a
+        # multiple of 2^-1074, and there are at most len(d)^2 of them, each
+        # weighted by at most len(d)^k.  No rule inside factorial_moments
+        # can mend this: loss sends [0, 1, 5e-324] and [0, 1, 0] at
+        # eta = 0.5 to the same floats, so the two would need different
+        # answers from one input, and any cutoff T on the sum flips a sum
+        # between T and T / eta^k from kept to dropped.
+        elif (moment := eta**k * b * before.mean_clicks**k) < sys.float_info.min:
+            assert abs(a * after.mean_clicks**k - moment) <= len(d) ** (k + 2) * 2.0**-1074
         else:
             assert abs(a - b) / abs(b) < 1e-8
 
