@@ -34,7 +34,7 @@ from .errors import (
 )
 from .montecarlo import McConfig, run_mc
 from .presets import PRESETS, build_preset
-from .states import StateParams, fock_distribution, squeezed_distribution
+from .states import StateParams, _integer, fock_distribution, squeezed_distribution
 from .sweep import SweepAxis, SweepSpec, find_extremum, squeezing_db, sweep
 from .tableio import format_number, to_csv, to_json
 
@@ -215,6 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Config-file fields that are used before any other check sees them.
+_FIELD_TYPES = {
+    "out": (str, "a string"),
+    "outdir": (str, "a string"),
+    "overrides": (dict, "an object"),
+}
+
+
 def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     """Defaults < config file < explicit flags."""
     config = RunConfig(command=command)
@@ -222,6 +230,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     file_values.pop("schema_version", None)
     file_values.pop("command", None)
     for key, value in file_values.items():
+        if key in _FIELD_TYPES and not isinstance(value, _FIELD_TYPES[key][0]):
+            raise InvalidParameterError(key, f"must be {_FIELD_TYPES[key][1]}, got {value!r}")
         setattr(config, key, value)
 
     simple = (
@@ -399,7 +409,9 @@ def cmd_figure(config: RunConfig) -> int:
 
 
 def cmd_mc(config: RunConfig) -> int:
-    source = fock_distribution(config.fock) if config.fock is not None else None
+    source = None
+    if config.fock is not None:
+        source = fock_distribution(_integer("fock", config.fock, 0))
     state = None if source is not None else _state(config)
     mc_config = McConfig(
         trials=config.trials,

@@ -8,18 +8,28 @@ coherences follow from the empirical histogram, with standard errors from
 multinomial variance propagation.
 
 Only that histogram leaves a chunk of trials, so the trials of a chunk are
-exchangeable: their order carries no information, and each stage may
-draw the whole chunk as counts instead of one trial at a time, exactly in
-distribution.
+exchangeable: their order carries no information, and every stage draws the
+whole chunk as counts instead of one trial at a time, exactly in
+distribution.  A chunk is carried as a histogram over photon totals (entry
+L counts the trials holding L photons) from its first draw to its click
+histogram, so its memory is O(support), whatever the number of trials.
 - Photon numbers: one multinomial draw gives how many trials hold each
-  photon number of the support, and the trials are laid out grouped by
-  that number.
-- Loss: each group of k photons is thinned by one binomial draw of
-  Binomial(k, eta) for all of its trials.
-- Background: where gamma <= 1, the chunk's total M ~ Poisson(gamma * size)
-  is drawn once and its photons are scattered uniformly over the trials,
-  which gives each trial an independent Poisson(gamma) count.  Above that,
-  each trial draws its own count, so memory stays bounded by the trials.
+  photon number of the support.
+- Loss: the c_k trials holding k photons keep a Binomial(k, eta) number
+  each, so one multinomial draw of c_k over the Binomial(k, eta) pmf gives
+  their thinned histogram.  The pmf comes from log-factorials, log(eta)
+  and log1p(-eta), is cached per k, and eta = 0 and eta = 1 draw nothing.
+- Background: i.i.d. Poisson(gamma) counts X are drawn as a chain of
+  conditional binomials: at h = 0, 1, ..., of the trials of each total
+  still in the chain, Binomial(remaining, P(X = h | X >= h)) stop at h
+  background photons.  The hazards are computed in log space, the tails
+  below the mean from the head and above it summed from the far end, so
+  that exp(-gamma) never underflows and no tail cancels.  The chain ends at
+  gamma + 40 sqrt(gamma) + 60, beyond which the Poisson tail is below
+  1e-38; for gamma >= _BACKGROUND_CAP it ends at that cap, and the trials
+  still in it carry _BACKGROUND_CAP background photons (a trial with that
+  many photons fires all four detectors but for a probability below
+  4 (3/4)^4096 < 1e-500).
 
 Weak fields make multi-click events vanishingly rare, so the simulator
 optionally stratifies on the total photon number L reaching the splitter
@@ -29,26 +39,25 @@ the estimates recombined with the exact stratum weights.  That keeps
 four-click validation feasible in seconds instead of days; only the
 routing combinatorics remain stochastic in that mode.
 
-Routing is simulated photon by photon.  A trial with L < 2 photons at the
-splitter fires exactly L detectors, so it is counted without a draw.  Each
-further photon of a trial with L >= 2 lands on a detector drawn uniformly
-from the four.  Detectors are exchangeable, so with k of them fired they can
-be labelled 0 .. k-1, and the photon fires a new one exactly when its drawn
-detector is >= k.  A trial leaves the simulation when its photons run out or
-all four detectors have fired, so routing draws O(1) numbers per trial in
-expectation (on average 25/3 photons fire all four) and its memory is
-bounded by the number of trials, however bright the field.  No
-path uses the occupancy table, the click operator or any other closed form
-for clicks, so the simulation stays an independent check of them.
+Routing is simulated photon by photon, over buckets of trials with equal
+(photons left, detectors fired).  A trial with L < 2 photons at the splitter
+fires exactly L detectors, so it is counted without a draw.  Each further
+photon lands on a detector drawn uniformly from the four.  Detectors are
+exchangeable, so with f of them fired the photon fires a new one with
+probability (4 - f) / 4, and one vectorised binomial draw per photon gives
+how many trials of each bucket move from f to f + 1 fired.  A bucket leaves
+once it is empty, all four detectors have fired or its photons run out, so
+routing takes O(1) rounds in expectation (on average 25/3 photons fire all
+four), however bright the field.  No path uses the occupancy table, the
+click operator, the loss or noise transforms or any other closed form for
+clicks, so the simulation stays an independent check of them.
 
 Determinism: trials are processed in chunks of at most 2^18 and every
 (stratum, chunk) job draws from its own counter-based Philox stream keyed
 on (seed, stratum, chunk).  The jobs are mapped over a thread pool of one
-worker per available CPU, at most 4 (numpy's samplers and array kernels
-release the GIL); their integer histograms are summed per stratum after the
-map, so results are bit-identical for a given McConfig regardless of worker
-count and scheduling.  The cap keeps at most 4 x 2^18 = 2^20 trials in
-flight, whatever the number of CPUs the host reports.
+worker per available CPU, at most 4; their integer histograms are summed
+per stratum after the map, so results are bit-identical for a given
+McConfig regardless of worker count and scheduling.
 """
 
 from __future__ import annotations
@@ -73,11 +82,16 @@ from .errors import InvalidParameterError, NoSignalError
 from .states import PhotonDistribution, StateParams, _check_tol, _integer, squeezed_distribution
 
 _CHUNK = 1 << 18
-# A CPU quota does not show in the affinity mask, and each worker holds a
-# chunk: the cap bounds both the threads and the memory in flight.
+# A CPU quota does not show in the affinity mask: the cap bounds the threads
+# whatever the number of CPUs the host reports.
 _MAX_WORKERS = 4
+# Most background photons one trial is given (see the module docstring).
+_BACKGROUND_CAP = 4096
+# P(a photon fires a new detector) with 1, 2 and 3 of the four fired.
+_FIRES_NEW = np.array([3.0, 2.0, 1.0]) / N_DETECTORS
 
-# Photon totals at the splitter for ``size`` trials, drawn from ``rng``.
+# Photon-total histogram of ``size`` trials drawn from ``rng``: entry L
+# counts the trials holding L photons at the splitter.
 Sampler = Callable[["np.random.Generator", int], np.ndarray]
 
 
@@ -122,27 +136,33 @@ def _rng(seed: int, stratum: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _route_clicks(rng: np.random.Generator, totals: np.ndarray) -> np.ndarray:
-    """Click-count histogram for trials with the given photon totals.
+def _route_clicks(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """Click-count histogram of the trials of the photon-total histogram
+    ``counts``.
 
     A trial with 0 or 1 photons fires that many detectors.  The other trials
-    route their photons one per round: with ``fired`` detectors labelled
-    0 .. fired-1, a photon drawn onto detector ``d >= fired`` fires a new one.
-    A trial is counted and dropped once its photons run out or all four
-    detectors have fired.
+    are routed one photon per round, as rows of equal photon total holding
+    the number of trials with 1, 2 and 3 detectors fired; one binomial draw
+    per round moves the trials whose photon fires a new detector.  A row is
+    counted and dropped once its photons run out or none of its trials has a
+    detector left to fire.
     """
     hist = np.zeros(N_DETECTORS + 1, dtype=np.int64)
-    hist[1] = np.count_nonzero(totals == 1)
-    left = totals[totals >= 2]
-    hist[0] = totals.size - hist[1] - left.size
-    fired = np.ones(left.size, dtype=np.uint8)
-    left -= 1
-    while left.size:
-        fired += rng.integers(0, N_DETECTORS, size=left.size, dtype=np.uint8) >= fired
-        left -= 1
-        done = (left == 0) | (fired == N_DETECTORS)
-        hist += np.bincount(fired[done], minlength=N_DETECTORS + 1)
-        fired, left = fired[~done], left[~done]
+    hist[: min(2, counts.size)] = counts[:2]
+    totals = np.flatnonzero(counts[2:]) + 2
+    live = np.zeros((totals.size, N_DETECTORS - 1), dtype=np.int64)
+    live[:, 0] = counts[totals]
+    routed = 1
+    while totals.size:
+        new = rng.binomial(live, _FIRES_NEW)
+        live -= new
+        live[:, 1:] += new[:, :-1]
+        hist[N_DETECTORS] += new[:, -1].sum()
+        routed += 1
+        spent = totals == routed
+        hist[1:N_DETECTORS] += live[spent].sum(axis=0)
+        keep = ~spent & live.any(axis=1)
+        totals, live = totals[keep], live[keep]
     return hist
 
 
@@ -152,36 +172,95 @@ def _source_distribution(config: McConfig) -> PhotonDistribution:
     return squeezed_distribution(config.state, config.tol)
 
 
+def _binomial_law(k: int, eta: float, log_factorial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes and pmf of Binomial(k, eta), 0 < eta < 1, for one multinomial
+    draw: outcomes whose probability underflows are left out, and the mode
+    goes last.  numpy's multinomial draws each entry against the mass not
+    yet drawn, 1 minus a running sum; with the mode last that mass never
+    falls below the mode's, so no conditional probability cancels."""
+    j = np.arange(k + 1)
+    log_p = (
+        log_factorial[k] - log_factorial[: k + 1] - log_factorial[k::-1]
+        + j * math.log(eta) + (k - j) * math.log1p(-eta)
+    )
+    p = np.exp(log_p - log_p.max())
+    outcomes = np.flatnonzero(p)
+    p = p[outcomes] / p[outcomes].sum()
+    order = np.roll(np.arange(p.size), -1 - int(np.argmax(p)))
+    return outcomes[order], p[order]
+
+
+def _poisson_hazards(gamma: float) -> np.ndarray:
+    """Hazards P(X = h | X >= h), h = 0 .. H - 1, of X ~ Poisson(``gamma``),
+    gamma > 0: H = ceil(gamma + 40 sqrt(gamma) + 60), where the last hazard
+    is 1, or H = _BACKGROUND_CAP for gamma >= _BACKGROUND_CAP.  Tails at
+    h <= gamma are 1 minus the head sum; beyond, they are summed from the
+    far end."""
+    if gamma < _BACKGROUND_CAP:
+        size = math.ceil(gamma + 40.0 * math.sqrt(gamma) + 60.0)
+    else:
+        size = _BACKGROUND_CAP
+    h = np.arange(size)
+    log_factorial = np.array([math.lgamma(n + 1.0) for n in range(size)])
+    log_pmf = h * math.log(gamma) - gamma - log_factorial
+    head = min(size, math.floor(gamma) + 1)
+    log_tail = np.empty(size)
+    log_tail[0] = 0.0
+    log_tail[1:head] = np.log1p(-np.exp(np.logaddexp.accumulate(log_pmf[: head - 1])))
+    log_tail[head:] = np.logaddexp.accumulate(log_pmf[head:][::-1])[::-1]
+    return np.minimum(np.exp(log_pmf - log_tail), 1.0)
+
+
 def _sampler(probs: np.ndarray, offset: int = 0, eta: float = 1.0, gamma: float = 0.0) -> Sampler:
-    """Photon totals at the splitter: ``offset`` plus a draw from ``probs``,
-    thinned by binomial loss at efficiency ``eta``, plus Poisson(``gamma``)
-    background photons.  The totals come out grouped by the drawn photon
-    number, not in trial order."""
+    """Photon-total histograms at the splitter: ``offset`` plus a draw from
+    ``probs``, thinned by binomial loss at efficiency ``eta``, plus
+    Poisson(``gamma``) background photons."""
     # Inverse-CDF law of ``probs``: mass beyond the support (below the
     # distribution tolerance) goes to the last entry, and a sum that rounds
     # above 1 is cut off there.
     cdf = np.minimum(np.cumsum(probs), 1.0)
     cdf[-1] = 1.0
     pvals = np.diff(cdf, prepend=0.0)
-    photons = np.arange(probs.size, dtype=np.int32)
+    if 0.0 < eta < 1.0:
+        log_factorial = np.array([math.lgamma(n + 1.0) for n in range(probs.size)])
+        # Shared by the chunks of every worker: a law computed twice by two
+        # threads is the same array either way.
+        laws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    hazards = _poisson_hazards(gamma) if gamma > 0.0 else None
+
+    def thin(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+        if eta == 0.0:
+            return np.array([counts.sum()])
+        thinned = np.zeros_like(counts)
+        thinned[0] = counts[0]
+        for k in np.flatnonzero(counts[1:]) + 1:
+            if (law := laws.get(k)) is None:
+                law = laws.setdefault(k, _binomial_law(k, eta, log_factorial))
+            outcomes, p = law
+            thinned[outcomes] += rng.multinomial(counts[k], p)
+        return thinned
+
+    def add_background(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+        totals = np.flatnonzero(counts)
+        left = counts[totals]
+        noisy = np.zeros(counts.size + hazards.size + 1, dtype=np.int64)
+        # A zero hazard draws nothing and consumes no random numbers.
+        for h in np.flatnonzero(hazards):
+            stop = rng.binomial(left, hazards[h])
+            noisy[totals + h] += stop
+            left -= stop
+            if not left.any():
+                return noisy
+        noisy[totals + hazards.size] += left
+        return noisy
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         counts = rng.multinomial(size, pvals)
-        n = np.repeat(photons, counts)
         if eta < 1.0:
-            end = np.cumsum(counts)
-            for k in np.flatnonzero(counts[1:]) + 1:
-                n[end[k] - counts[k] : end[k]] = rng.binomial(k, eta, counts[k])
-        if 0.0 < gamma <= 1.0:
-            # Given their sum, Poisson(gamma) counts over ``size`` trials fall
-            # on the trials uniformly: memory stays O(size) while gamma <= 1.
-            hits = rng.integers(0, size, rng.poisson(gamma * size))
-            n += np.bincount(hits, minlength=size)
-        elif gamma > 1.0:
-            # int64 sum: a bright background can overflow int32 totals.
-            n = n + rng.poisson(gamma, size)
-        n += offset
-        return n
+            counts = thin(rng, counts)
+        if hazards is not None:
+            counts = add_background(rng, counts)
+        return np.concatenate((np.zeros(offset, dtype=np.int64), counts)) if offset else counts
 
     return draw
 

@@ -514,22 +514,38 @@ class TestConfigRoundTrip:
             ("extremum", {"bounds": [0.1]}, (), "bounds"),
             ("sweep", {"axes": [{"name": "alpha"}]}, (), "axes"),
             ("sweep", {"orders": 5}, ("--axis", "alpha:0.1:1:3"), "orders"),
-            ("mc", {"fock": "x"}, (), "n"),
+            ("mc", {"fock": "x"}, (), "fock"),
+            ("mc", {"fock": -1}, (), "fock"),
+            ("mc", {"fock": 2.0}, (), "fock"),
+            ("mc", None, ("--fock", "-3"), "fock"),
+            ("figure", {"preset": "fig5", "overrides": 5}, (), "overrides"),
+            ("figure", {"preset": "fig5", "overrides": 5}, ("--set", "eta=0.5"), "overrides"),
+            ("figure", {"preset": "fig5", "outdir": 5}, (), "outdir"),
+            ("point", {"out": 5}, ("--alpha", "1"), "out"),
+            ("sweep", {"out": ["x.csv"]}, ("--axis", "alpha:0.1:1:3"), "out"),
         ],
         ids=[
             "unparsable-bounds-flag", "one-bound", "axis-without-bounds", "orders-not-a-list",
-            "fock-not-an-integer",
+            "fock-not-an-integer", "fock-negative", "fock-float", "fock-flag-negative",
+            "overrides-not-an-object", "overrides-not-an-object-with-set", "outdir-not-a-string",
+            "point-out-not-a-string", "sweep-out-not-a-string",
         ],
     )
-    def test_malformed_input_is_config_error(self, capsys, tmp_path, command, config, flags, field):
+    def test_malformed_input_is_config_error(
+        self, capsys, tmp_path, monkeypatch, command, config, flags, field
+    ):
+        # Run inside an empty directory: a rejected run writes no file.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("HBT4_OUTPUT_DIR", raising=False)
+        config_path = tmp_path / "bad.json"
         if config is not None:
-            config_path = tmp_path / "bad.json"
             config_path.write_text(json.dumps(config))
             flags = ("--config", str(config_path), *flags)
         code, out, err = run_cli(capsys, command, *flags)
         assert code == 2
         assert err.startswith(f"config error: {field}: ")
         assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == (["bad.json"] if config is not None else [])
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         config_path = tmp_path / "base.json"

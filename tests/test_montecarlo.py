@@ -1,4 +1,7 @@
+import decimal
+import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,7 +22,7 @@ from hbt4 import (
     squeezed_distribution,
 )
 from hbt4 import montecarlo
-from hbt4.clicks import _coincidence_ratios, _occupancy_table
+from hbt4.clicks import N_DETECTORS, _coincidence_ratios, _occupancy_table
 from hbt4.montecarlo import _CHUNK
 
 
@@ -186,17 +189,19 @@ class TestRoutingExchangeability:
         rng = np.random.Generator(np.random.Philox(121))
         trials = 1000
         for photons, expected in ((0, [trials, 0, 0, 0, 0]), (1, [0, trials, 0, 0, 0])):
-            totals = np.full(trials, photons, dtype=np.int64)
-            assert montecarlo._route_clicks(rng, totals).tolist() == expected
+            counts = np.zeros(photons + 1, dtype=np.int64)
+            counts[photons] = trials
+            assert montecarlo._route_clicks(rng, counts).tolist() == expected
 
     @pytest.mark.parametrize("photons", [2, 3, 5, 9, 40])
     def test_exactly_l_photons_follow_the_occupancy_row(self, photons):
         rng = np.random.Generator(np.random.Philox(123 + photons))
         trials = 2**16
-        totals = np.full(trials, photons, dtype=np.int64)
-        hist = montecarlo._route_clicks(rng, totals)
+        counts = np.zeros(photons + 1, dtype=np.int64)
+        counts[photons] = trials
+        hist = montecarlo._route_clicks(rng, counts)
         assert hist.sum() == trials
-        np.testing.assert_array_equal(totals, photons)
+        assert counts.tolist() == [0] * photons + [trials]
         p = _occupancy_table(photons + 1)[photons]
         sigma = np.sqrt(trials * p * (1.0 - p))
         assert np.all(np.abs(hist - trials * p) <= 4.0 * sigma), (hist, trials * p)
@@ -280,8 +285,7 @@ class TestSampler:
 
     @pytest.mark.parametrize("gamma", [1.0, 5.0])
     def test_bright_field_background_memory_is_bounded_by_trials(self, gamma):
-        # gamma = 1 is the largest background scattered from one Poisson
-        # total; above it every trial draws its own Poisson count.
+        # 2000 photons thinned to about 1000, plus a background.
         trials = 1 << 14
         config = McConfig(
             trials=trials,
@@ -297,6 +301,46 @@ class TestSampler:
             tracemalloc.stop()
         np.testing.assert_array_equal(result.click_histogram, [0, 0, 0, 0, trials])
         assert peak < 200 * trials
+
+    def test_memory_does_not_grow_with_trials(self):
+        # 2^22 trials through loss, background and routing.  A chunk is a
+        # histogram over photon totals, never an array of one entry per
+        # trial, so the peak is a fraction of a byte per trial.
+        trials = 1 << 22
+        config = McConfig(
+            trials=trials,
+            seed=12,
+            state=StateParams(r=0.3, theta=1.0, alpha=1.0),
+            detection=DetectionParams(eta=0.6, gamma=0.2),
+        )
+        tracemalloc.start()
+        try:
+            result = run_mc(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.click_histogram.sum() == trials
+        assert peak < 1 << 21
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [5e-324, 1e-300, 1e-5, 0.5, 1.0, 8.0, 745.0, 4095.0, 4096.0, 1e12, 1e300,
+         sys.float_info.max],
+    )
+    def test_every_accepted_background_runs(self, gamma):
+        # exp(-gamma) underflows from 745 on; the chain of background
+        # hazards ends at _BACKGROUND_CAP from 4096 on.
+        trials = 1000
+        config = McConfig(
+            trials=trials,
+            seed=10,
+            source=fock_distribution(3),
+            detection=DetectionParams(eta=0.5, gamma=gamma),
+        )
+        hist = run_mc(config).click_histogram
+        assert hist.sum() == trials
+        if gamma >= 745.0:
+            assert hist[N_DETECTORS] == trials
 
     def test_source_summing_slightly_above_one_runs(self):
         # PhotonDistribution accepts sums within 1e-9 of 1; numpy's
@@ -320,15 +364,17 @@ class TestSampler:
 
 
 def assert_totals_follow(draw, expected: np.ndarray, seed: int) -> None:
-    """Totals of 16 chunks (2^22 trials) from ``draw``: none where
-    ``expected`` has no mass, and within 5 sigma of it in every bin
-    expecting more than 20 trials."""
+    """Photon-total histograms of 16 chunks (2^22 trials) from ``draw``:
+    none where ``expected`` has no mass, and within 5 sigma of it in every
+    bin expecting more than 20 trials."""
     chunks = 16
     hist = np.zeros(expected.size, dtype=np.int64)
     for chunk in range(chunks):
-        totals = draw(montecarlo._rng(seed, 0, chunk), _CHUNK)
-        assert totals.size == _CHUNK
-        hist += np.bincount(totals, minlength=expected.size)[: expected.size]
+        counts = draw(montecarlo._rng(seed, 0, chunk), _CHUNK)
+        assert counts.dtype == np.int64 and counts.min() >= 0
+        assert counts.sum() == _CHUNK
+        kept = counts[: expected.size]
+        hist[: kept.size] += kept
     trials = chunks * _CHUNK
     assert hist.sum() == trials
     assert hist[expected == 0.0].sum() == 0
@@ -342,19 +388,40 @@ def assert_totals_follow(draw, expected: np.ndarray, seed: int) -> None:
 
 class TestSamplerLaw:
     """Each chunk is drawn as counts (one multinomial over the photon
-    numbers, one binomial per photon-number group, one scattered Poisson
-    total): the totals must still follow ``apply_detection``."""
+    numbers, one multinomial per photon-number group for the loss, one chain
+    of binomials for the background): the totals must still follow
+    ``apply_detection``."""
 
     SOURCE = StateParams(r=0.3, theta=0.7, alpha=1.0)
 
     @pytest.mark.parametrize(
-        "eta, gamma", [(0.6, 0.0), (1.0, 0.3), (0.6, 0.2), (0.4, 1.0), (0.7, 2.5)]
+        "eta, gamma",
+        [(0.6, 0.0), (1.0, 0.3), (0.6, 0.2), (0.4, 1.0), (0.7, 2.5), (0.6, 8.0), (0.0, 2.5)],
     )
     def test_full_chain_totals_follow_the_detected_distribution(self, eta, gamma):
         source = squeezed_distribution(self.SOURCE)
         expected = apply_detection(source, DetectionParams(eta=eta, gamma=gamma)).probs
         draw = montecarlo._sampler(source.probs, eta=eta, gamma=gamma)
         assert_totals_follow(draw, expected, seed=int(100 * eta + 10 * gamma))
+
+    @pytest.mark.parametrize("gamma", [1e-5, 0.3, 8.0, 745.0])
+    def test_background_hazards_match_exact_arithmetic(self, gamma):
+        # P(X = h | X >= h) from 50-digit sums over the same table, with
+        # exp(-gamma) held exactly where a double underflows (gamma = 745).
+        hazards = montecarlo._poisson_hazards(gamma)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            g = decimal.Decimal(gamma)
+            pmf = [(-g).exp()]
+            for h in range(1, hazards.size):
+                pmf.append(pmf[-1] * g / h)
+            tail = list(itertools.accumulate(reversed(pmf)))[::-1]
+            exact = np.array([float(p / t) for p, t in zip(pmf, tail)])
+        resolved = exact > 1e-300
+        assert resolved.sum() >= 40
+        np.testing.assert_allclose(hazards[resolved], exact[resolved], rtol=1e-11)
+        assert np.all(hazards[~resolved] < 1e-290)
+        assert hazards[-1] == 1.0
 
     def test_offset_stratum_totals_follow_the_conditioned_distribution(self):
         source = squeezed_distribution(self.SOURCE)
