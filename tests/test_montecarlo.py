@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import itertools
 import math
@@ -305,7 +306,8 @@ class TestSampler:
     def test_memory_does_not_grow_with_trials(self):
         # 2^22 trials through loss, background and routing.  A chunk is a
         # histogram over photon totals, never an array of one entry per
-        # trial, so the peak is a fraction of a byte per trial.
+        # trial, so the peak is a fraction of a byte per trial.  A first
+        # run of two chunks imports the pool and fills the state caches.
         trials = 1 << 22
         config = McConfig(
             trials=trials,
@@ -313,6 +315,7 @@ class TestSampler:
             state=StateParams(r=0.3, theta=1.0, alpha=1.0),
             detection=DetectionParams(eta=0.6, gamma=0.2),
         )
+        run_mc(dataclasses.replace(config, trials=2 * _CHUNK))
         tracemalloc.start()
         try:
             result = run_mc(config)
@@ -320,7 +323,7 @@ class TestSampler:
         finally:
             tracemalloc.stop()
         assert result.click_histogram.sum() == trials
-        assert peak < 1 << 21
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "gamma",
