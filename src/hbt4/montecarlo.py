@@ -47,10 +47,12 @@ exchangeable, so with f of them fired the photon fires a new one with
 probability (4 - f) / 4, and one vectorised binomial draw per photon gives
 how many trials of each bucket move from f to f + 1 fired.  A bucket leaves
 once it is empty, all four detectors have fired or its photons run out, so
-routing takes O(1) rounds in expectation (on average 25/3 photons fire all
-four), however bright the field.  No path uses the occupancy table, the
-click operator, the loss or noise transforms or any other closed form for
-clicks, so the simulation stays an independent check of them.
+routing ends after at most as many rounds as the largest photon total, and
+in a bright field once the chunk's slowest trial has fired all four (on
+average 25/3 photons do), however many photons remain.  No path uses the
+occupancy table, the click operator or any other closed form for clicks,
+and the full chain does not use the loss or noise transforms either, so
+the simulation stays an independent check of them.
 
 Determinism: trials are processed in chunks of at most 2^18 and every
 (stratum, chunk) job draws from its own counter-based Philox stream keyed
